@@ -58,7 +58,6 @@ from .singular import (
     newton_polish,
 )
 from .topology import (
-    IntegrationOptions,
     Orbit,
     TopologySignature,
     equivalent,
@@ -83,7 +82,6 @@ __all__ = [
     "Frame",
     "GenericityReport",
     "IndexResult",
-    "IntegrationOptions",
     "InvalidCaseDataError",
     "IsolationOrderError",
     "NotSimpleError",

@@ -28,6 +28,7 @@ from .singular import (
 )
 
 DEFAULT_LADDER = (1e-2, 1e-3, 1e-4)
+DECISION_TOL = 1e-9  # coefficients at or below this count as zero in decisions
 
 _KIND_INDEX = {"saddle": -1, "center": 1}
 
@@ -70,7 +71,7 @@ def genericity_value(d: DegeneracyData, p: PerturbationData) -> float:
     return p.lambda2
 
 
-def decide(d: DegeneracyData, p: PerturbationData, *, tol: float = 1e-9) -> str:
+def decide(d: DegeneracyData, p: PerturbationData, *, tol: float = DECISION_TOL) -> str:
     """One of no-bifurcation | saddle-split | center-split | indeterminate.
 
     Raises UnsupportedCaseError for S1 (the zero breaks into a
@@ -158,7 +159,7 @@ def _persistent_branch(d: DegeneracyData, p: PerturbationData) -> Branch:
 
 
 def branch_asymptotics(
-    d: DegeneracyData, p: PerturbationData, *, tol: float = 1e-9
+    d: DegeneracyData, p: PerturbationData, *, tol: float = DECISION_TOL
 ) -> BranchPrediction:
     """Predicted branches for the decided family.
 
@@ -191,28 +192,6 @@ def branch_asymptotics(
             "three-root side determined by the radicand sign: eps < 0 (t > t0)",
         )
     return BranchPrediction(branches, side, eps_sign, notes)
-
-
-def branch_location(
-    d: DegeneracyData, p: PerturbationData, branch: Branch, eps: float
-) -> np.ndarray | None:
-    """World-coordinate prediction of one branch point at offset eps.
-
-    The transversal coordinate follows from the e1-component equation:
-    y = -(lam*x^k - eps*lambda1) / alpha.  Outer-branch values are only
-    meaningful on the carrying side; the undetermined middle branch gives
-    None.
-    """
-    if branch.leading_coefficient is None:
-        return None
-    if branch.label == "x0":
-        x = branch.leading_coefficient * float(np.copysign(1.0, eps)) * abs(
-            eps
-        ) ** float(branch.leading_exponent)
-    else:
-        x = branch.leading_coefficient * abs(eps) ** float(branch.leading_exponent)
-    y = -(d.lam * x**d.k - eps * p.lambda1) / d.alpha
-    return d.frame.to_world((x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +228,7 @@ def _point_index(point) -> int | None:
     return None
 
 
-def _expected_kinds(decision: str, index: int, three: bool) -> tuple[str, ...]:
+def _expected_kinds(index: int, three: bool) -> tuple[str, ...]:
     if three:
         if index == -1:
             return ("center", "saddle", "saddle")
@@ -269,7 +248,6 @@ def _errors_nonincreasing(seq: list[float], slack: float, floor: float) -> bool:
 def _run_ladder(
     family: TimeFamily,
     d: DegeneracyData,
-    p: PerturbationData,
     decision: str,
     pred: BranchPrediction,
     opts: SearchOptions,
@@ -331,7 +309,7 @@ def _run_ladder(
             continue
         three = decision != "no-bifurcation" and sign == pred.eps_sign
         want_n = 3 if three else 1
-        want_kinds = _expected_kinds(decision, d.index, three)
+        want_kinds = _expected_kinds(d.index, three)
         for i in small:
             if counts[i] != want_n or kindsets[i] != want_kinds:
                 details.append(
@@ -391,7 +369,7 @@ def verify(
     p0,
     opts: SearchOptions = DEFAULT_SEARCH,
     *,
-    tol: float = 1e-9,
+    tol: float = DECISION_TOL,
     eps_scale: float = 1.0,
     ladder=None,
 ) -> Verification:
@@ -401,16 +379,10 @@ def verify(
     searches the frame-local field at offset eps in a box scaled to the
     predicted branch separation.
     """
-    d = extract_degeneracy(family.base, p0, opts)
-    p = extract_perturbation(family.accel, d.frame)
-    decision = decide(d, p, tol=tol)
-    if decision == "indeterminate":
-        return Verification(
-            (), (), (), (), (), "inconclusive",
-            ("indeterminate family: nothing to verify against",),
-        )
-    pred = branch_asymptotics(d, p, tol=tol)
-    return _run_ladder(family, d, p, decision, pred, opts, eps_scale, ladder)
+    return analyze(
+        family, p0, opts, tol=tol, eps_scale=eps_scale, ladder=ladder,
+        run_verification=True,
+    ).verification
 
 
 def analyze(
@@ -418,7 +390,7 @@ def analyze(
     p0,
     opts: SearchOptions = DEFAULT_SEARCH,
     *,
-    tol: float = 1e-9,
+    tol: float = DECISION_TOL,
     eps_scale: float = 1.0,
     ladder=None,
     run_verification: bool = True,
@@ -443,7 +415,7 @@ def analyze(
     verification = None
     if run_verification:
         verification = _run_ladder(
-            family, d, p, decision, pred, opts, eps_scale, ladder
+            family, d, decision, pred, opts, eps_scale, ladder
         )
     return BifurcationReport(
         decision, pred.side, pred.branches, d, p, verification, pred.notes
@@ -466,7 +438,7 @@ def check_generic_membership(
     p0,
     opts: SearchOptions = DEFAULT_SEARCH,
     *,
-    tol: float = 1e-9,
+    tol: float = DECISION_TOL,
 ) -> GenericityReport:
     """Membership in the generic subset of the family's symmetry class.
 

@@ -11,11 +11,12 @@ digits and identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
 from . import __version__
-from .bifurcation import DEFAULT_LADDER, analyze
+from .bifurcation import DECISION_TOL, DEFAULT_LADDER, analyze
 from .errors import AnalysisRefusal, FlowbifError, StepLimitError
 from .field import PolyVectorField, TimeFamily
 from .fieldfile import load_field_file
@@ -64,6 +65,11 @@ class RunConfig:
     no_verify: bool = False
 
     def __post_init__(self):
+        numbers = [*self.box, *(self.point or ()), *(self.ladder or ()), self.eps_scale]
+        numbers += [x for x in (self.tol, self.radius) if x is not None]
+        bad = [x for x in numbers if not math.isfinite(x)]
+        if bad:
+            raise _UsageError(f"numeric flags must be finite, got {bad[0]}")
         x0, y0, x1, y1 = self.box
         if not (x0 < x1 and y0 < y1):
             raise _UsageError(f"degenerate box {self.box}")
@@ -245,7 +251,7 @@ def _run_bifurcate(cfg: RunConfig) -> int:
         family,
         cfg.point,
         _search_opts(cfg),
-        tol=cfg.tol if cfg.tol is not None else 1e-9,
+        tol=cfg.tol if cfg.tol is not None else DECISION_TOL,
         eps_scale=cfg.eps_scale,
         ladder=cfg.ladder,
         run_verification=not cfg.no_verify,

@@ -53,10 +53,6 @@ class Frame:
             raise ValueError("frame must be right-handed (det[e1 e2] = +1)")
 
     @classmethod
-    def identity(cls, origin=(0.0, 0.0)) -> "Frame":
-        return cls(np.asarray(origin, dtype=float), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-
-    @classmethod
     def rotation(cls, origin, theta: float) -> "Frame":
         c, s = np.cos(theta), np.sin(theta)
         return cls(np.asarray(origin, dtype=float), np.array([c, s]), np.array([-s, c]))

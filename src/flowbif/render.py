@@ -11,13 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .singular import DEFAULT_SEARCH, SearchOptions, SingularPoint
-from .topology import (
-    DEFAULT_INTEGRATION,
-    IntegrationOptions,
-    Orbit,
-    TopologySignature,
-    separatrix_portrait,
-)
+from .topology import Orbit, TopologySignature, separatrix_portrait
 
 VIEW = 1000.0
 
@@ -112,13 +106,10 @@ def _csv_text(orbits) -> str:
 
 
 def render_portrait(
-    field,
-    box,
-    opts: IntegrationOptions = DEFAULT_INTEGRATION,
-    search_opts: SearchOptions = DEFAULT_SEARCH,
+    field, box, search_opts: SearchOptions = DEFAULT_SEARCH
 ) -> Portrait:
     """Trace the separatrix skeleton and return SVG/CSV strings."""
-    sig, points, orbits = separatrix_portrait(field, box, opts, search_opts)
+    sig, points, orbits = separatrix_portrait(field, box, search_opts)
     return Portrait(sig, points, orbits, _svg_text(box, points, orbits), _csv_text(orbits))
 
 

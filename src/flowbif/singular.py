@@ -27,7 +27,7 @@ level and polished with damped Newton.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,9 +39,14 @@ from .errors import (
 )
 from .field import Frame, PolyVectorField
 from .poly import Poly2
+from .winding import _ANGLE_CAP, _angle_steps
 
-_ANGLE_CAP = 0.999 * np.pi / 2
 _MAG_RATIO = 1e-3  # boundary magnitude ratio below which a cell winding is unreliable
+_MAX_DEPTH = 14  # finest subdivision level
+_CLUSTER_RADIUS = 1e-6  # candidates closer than this are one zero
+_DET_TOL = 1e-9  # |det J| at or below this (x max(1, |J|)^2) is degenerate
+_COEF_TOL = 1e-9  # invariants and frame coefficients at or below this are zero
+_S5_TOL = 1e-9  # |lam^2*k + alpha*beta| at or below this is S5
 
 CASE_INDEX = {"S1": 0, "S2": -1, "S3": 1, "S4": -1, "S5": None, "S6": 1, "S7": -1}
 
@@ -51,12 +56,7 @@ class SearchOptions:
     """Tunables for root isolation and classification."""
 
     res_tol: float = 1e-10
-    cluster_radius: float = 1e-6
     max_cells: int = 1_000_000
-    max_depth: int = 14
-    det_tol: float = 1e-9
-    coef_tol: float = 1e-9
-    s5_tol: float = 1e-9
     newton_max_iter: int = 50
 
 
@@ -101,14 +101,11 @@ def case_label(
     lam: float,
     k: int,
     n: int,
-    *,
-    coef_tol: float = 1e-9,
-    s5_tol: float = 1e-9,
 ) -> tuple[str, int | None]:
     """Case label and Brouwer index from the degeneracy invariants."""
     if k < 2 or n < 2 or k != int(k) or n != int(n):
         raise InvalidCaseDataError(f"tangency orders must be integers >= 2, got k={k}, n={n}")
-    if abs(alpha) <= coef_tol or abs(beta) <= coef_tol or abs(lam) <= coef_tol:
+    if abs(alpha) <= _COEF_TOL or abs(beta) <= _COEF_TOL or abs(lam) <= _COEF_TOL:
         raise InvalidCaseDataError("alpha, beta and lam must all be nonzero")
     if 2 * k > n + 1:
         if n % 2 == 0:
@@ -116,7 +113,7 @@ def case_label(
         return ("S2", -1) if alpha * beta > 0 else ("S3", 1)
     if 2 * k == n + 1:
         disc = lam * lam * k + alpha * beta
-        if abs(disc) <= s5_tol:
+        if abs(disc) <= _S5_TOL:
             return "S5", None
         return ("S4", -1) if disc > 0 else ("S6", 1)
     return "S7", -1
@@ -144,10 +141,10 @@ def extract_degeneracy(
 
     jac = field.jacobian(p)
     jnorm = float(np.max(np.abs(jac)))
-    if jnorm <= opts.coef_tol:
+    if jnorm <= _COEF_TOL:
         raise NotSimpleError("Jacobian vanishes at the zero; not a simple degenerate point")
     det = float(jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0])
-    if abs(det) > opts.det_tol * max(1.0, jnorm) ** 2:
+    if abs(det) > _DET_TOL * max(1.0, jnorm) ** 2:
         raise InvalidCaseDataError(f"Jacobian is nondegenerate (det = {det:.3g})")
 
     _, _, vt = np.linalg.svd(jac)
@@ -160,7 +157,7 @@ def extract_degeneracy(
     frame = Frame(p, e1, e2)
     w = field.in_frame(frame)
     coef_scale = max(1.0, w.u.max_abs_coef(), w.v.max_abs_coef())
-    thresh = opts.coef_tol * coef_scale
+    thresh = _COEF_TOL * coef_scale
 
     k = lam = None
     for m in range(2, w.u.coef.shape[0]):
@@ -184,9 +181,7 @@ def extract_degeneracy(
             "second component has no pure-x term above tolerance; contact order undefined"
         )
 
-    label, index = case_label(
-        alpha, beta, lam, k, n, coef_tol=opts.coef_tol, s5_tol=opts.s5_tol
-    )
+    label, index = case_label(alpha, beta, lam, k, n)
     return DegeneracyData(frame, alpha, beta, lam, k, n, label, index)
 
 
@@ -198,7 +193,7 @@ def classify_point(
     jac = field.jacobian(p)
     jnorm = float(np.max(np.abs(jac)))
     det = float(jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0])
-    det_tol = opts.det_tol * max(1.0, jnorm) ** 2
+    det_tol = _DET_TOL * max(1.0, jnorm) ** 2
     if det < -det_tol:
         return SingularPoint(p, jac, "saddle")
     if det > det_tol:
@@ -400,7 +395,7 @@ def find_singular_points(
     bound_u, bound_v = field.gradient_bound(half_extent)
 
     start_depth = 2
-    max_depth = max(opts.max_depth, start_depth)
+    max_depth = max(_MAX_DEPTH, start_depth)
     ncell0 = 1 << start_depth
     cx, cy = np.meshgrid(
         x0 + (np.arange(ncell0) + 0.5) * w / ncell0,
@@ -434,9 +429,7 @@ def find_singular_points(
         mag = np.hypot(bu, bv)
         minmag = mag.min(axis=1)
         maxmag = mag.max(axis=1)
-        cross = bu[:, :-1] * bv[:, 1:] - bv[:, :-1] * bu[:, 1:]
-        dot = bu[:, :-1] * bu[:, 1:] + bv[:, :-1] * bv[:, 1:]
-        steps = np.arctan2(cross, dot)
+        steps = _angle_steps(bu, bv)
         with np.errstate(invalid="ignore"):
             winding = np.rint(steps.sum(axis=1) / (2 * np.pi)).astype(int)
         reliable = (np.abs(steps).max(axis=1) < _ANGLE_CAP) & (
@@ -469,7 +462,7 @@ def find_singular_points(
     # Near-degenerate candidates stall short of the true zero; give them the
     # structured polish, then dedup again since stalled copies collapse.
     refined: list[tuple[np.ndarray, float]] = []
-    for cluster in _cluster(candidates, opts.cluster_radius):
+    for cluster in _cluster(candidates, _CLUSTER_RADIUS):
         pt, res = min(cluster, key=lambda c: (c[1], c[0][0], c[0][1]))
         jac = field.jacobian(pt)
         det = float(jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0])
@@ -481,7 +474,7 @@ def find_singular_points(
         refined.append((pt, res))
 
     points = []
-    for cluster in _cluster(refined, opts.cluster_radius):
+    for cluster in _cluster(refined, _CLUSTER_RADIUS):
         best = min(cluster, key=lambda c: (c[1], c[0][0], c[0][1]))
         points.append(classify_point(field, best[0], opts))
     points.sort(key=lambda s: (s.location[0], s.location[1]))

@@ -46,20 +46,14 @@ _DP_B4 = (
 )
 
 
-@dataclass(frozen=True)
-class IntegrationOptions:
-    """Tolerances as fractions of the box size L / peak field magnitude."""
-
-    err_tol: float = 1e-9  # local truncation error per step (x max(1, L))
-    max_step_frac: float = 0.02
-    capture_speed_frac: float = 1e-5  # |u| below this x peak => capture
-    capture_radius_frac: float = 1e-5  # node attribution / near-miss radius
-    closure_frac: float = 1e-6
-    delta_frac: float = 1e-6  # separatrix launch offset
-    max_steps: int = 100_000
-
-
-DEFAULT_INTEGRATION = IntegrationOptions()
+# Tolerances, as fractions of the box size L / peak field magnitude.
+_ERR_TOL = 1e-9  # local truncation error per step (x max(1, L))
+_MAX_STEP_FRAC = 0.02
+_CAPTURE_SPEED_FRAC = 1e-5  # |u| below this x peak => capture
+_CAPTURE_RADIUS_FRAC = 1e-5  # node attribution / near-miss radius
+_CLOSURE_FRAC = 1e-6
+_DELTA_FRAC = 1e-6  # separatrix launch offset
+_MAX_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -89,7 +83,7 @@ class _Scales:
     lam: float
 
 
-def _scales(field: PolyVectorField, box, opts: IntegrationOptions) -> _Scales:
+def _scales(field: PolyVectorField, box) -> _Scales:
     x0, y0, x1, y1 = (float(b) for b in box)
     L = max(x1 - x0, y1 - y0)
     xs = np.linspace(x0, x1, 25)
@@ -103,12 +97,12 @@ def _scales(field: PolyVectorField, box, opts: IntegrationOptions) -> _Scales:
     lam = max(float(np.hypot(bu, bv)), 1e-300)
     return _Scales(
         L=L,
-        max_step=opts.max_step_frac * L,
-        err_abs=opts.err_tol * max(1.0, L),
-        capture_speed=opts.capture_speed_frac * peak,
-        capture_radius=opts.capture_radius_frac * L,
-        closure_tol=opts.closure_frac * L,
-        delta=opts.delta_frac * L,
+        max_step=_MAX_STEP_FRAC * L,
+        err_abs=_ERR_TOL * max(1.0, L),
+        capture_speed=_CAPTURE_SPEED_FRAC * peak,
+        capture_radius=_CAPTURE_RADIUS_FRAC * L,
+        closure_tol=_CLOSURE_FRAC * L,
+        delta=_DELTA_FRAC * L,
         lam=lam,
     )
 
@@ -142,10 +136,9 @@ def _clip_to_box(a: np.ndarray, b: np.ndarray, box) -> np.ndarray:
 
 
 class _Tracer:
-    def __init__(self, field, box, opts, sc, nodes):
+    def __init__(self, field, box, sc, nodes):
         self.field = field
         self.box = tuple(float(b) for b in box)
-        self.opts = opts
         self.sc = sc
         self.nodes = [np.asarray(n, dtype=float) for n in nodes]
 
@@ -158,7 +151,6 @@ class _Tracer:
 
     def run(self, seed, sign) -> tuple[np.ndarray, str, tuple[str, ...]]:
         sc = self.sc
-        opts = self.opts
         x0b, y0b, x1b, y1b = self.box
         x = np.asarray(seed, dtype=float).reshape(2).copy()
         f0, speed = self._rhs(x, sign)
@@ -175,7 +167,7 @@ class _Tracer:
         h = min(sc.max_step, 0.5 * speed / sc.lam)
         end = "stalled"
         steps = 0
-        while steps < opts.max_steps:
+        while steps < _MAX_STEPS:
             steps += 1
             h = min(h, sc.max_step, 0.5 * speed / sc.lam)
             if h < 1e-15 * sc.L:
@@ -255,7 +247,7 @@ class _Tracer:
             h *= min(5.0, max(0.2, 0.9 * max(en, 1e-12) ** -0.2))
         else:
             raise StepLimitError(
-                f"orbit exceeded {opts.max_steps} steps",
+                f"orbit exceeded {_MAX_STEPS} steps",
                 orbit=Orbit(np.array(pts), "seed", "stalled", ("step-limit",)),
             )
 
@@ -279,7 +271,6 @@ def integrate_streamline(
     field: PolyVectorField,
     seed,
     box,
-    opts: IntegrationOptions = DEFAULT_INTEGRATION,
     *,
     nodes=(),
     backward: bool = False,
@@ -291,8 +282,8 @@ def integrate_streamline(
     Backward runs are reversed before return, so the stored polyline is
     always flow-aligned (start/end kinds swap accordingly).
     """
-    sc = _scales(field, box, opts)
-    tracer = _Tracer(field, box, opts, sc, nodes)
+    sc = _scales(field, box)
+    tracer = _Tracer(field, box, sc, nodes)
     pts, end, flags = tracer.run(seed, -1.0 if backward else 1.0)
     if backward:
         return Orbit(pts[::-1].copy(), end, start_kind, flags)
@@ -303,7 +294,6 @@ def separatrices(
     field: PolyVectorField,
     saddle: SingularPoint,
     box,
-    opts: IntegrationOptions = DEFAULT_INTEGRATION,
     *,
     nodes=(),
     self_index: int | None = None,
@@ -326,8 +316,8 @@ def separatrices(
     v_unstable = vecs[:, iu] / np.hypot(*vecs[:, iu])
     v_stable = vecs[:, 1 - iu] / np.hypot(*vecs[:, 1 - iu])
 
-    sc = _scales(field, box, opts)
-    tracer = _Tracer(field, box, opts, sc, nodes)
+    sc = _scales(field, box)
+    tracer = _Tracer(field, box, sc, nodes)
     loc = np.asarray(saddle.location, dtype=float)
     tag = "node:?" if self_index is None else f"node:{self_index}"
 
@@ -400,7 +390,6 @@ def _edge_order(x):
 def _build_signature(
     field: PolyVectorField,
     box,
-    opts: IntegrationOptions,
     search_opts: SearchOptions,
 ) -> tuple[TopologySignature, list[SingularPoint], list[Orbit]]:
     points = find_singular_points(field, box, search_opts)
@@ -427,9 +416,7 @@ def _build_signature(
     for i, pt in enumerate(points):
         if pt.kind != "saddle":
             continue
-        seps = separatrices(
-            field, pt, box, opts, nodes=positions, self_index=i
-        )
+        seps = separatrices(field, pt, box, nodes=positions, self_index=i)
         for orb in seps:
             orbits.append(orb)
             far = orb.end_kind if orb.start_kind == f"node:{i}" else orb.start_kind
@@ -478,28 +465,24 @@ def _build_signature(
 def signature(
     field: PolyVectorField,
     box,
-    opts: IntegrationOptions = DEFAULT_INTEGRATION,
     search_opts: SearchOptions = DEFAULT_SEARCH,
 ) -> TopologySignature:
     """Separatrix graph of the field restricted to the box."""
-    sig, _, _ = _build_signature(field, box, opts, search_opts)
+    sig, _, _ = _build_signature(field, box, search_opts)
     return sig
 
 
 def separatrix_portrait(
     field: PolyVectorField,
     box,
-    opts: IntegrationOptions = DEFAULT_INTEGRATION,
     search_opts: SearchOptions = DEFAULT_SEARCH,
 ) -> tuple[TopologySignature, list[SingularPoint], list[Orbit]]:
     """Signature together with the singular points and traced separatrices."""
-    return _build_signature(field, box, opts, search_opts)
+    return _build_signature(field, box, search_opts)
 
 
 def equivalent(a: TopologySignature, b: TopologySignature) -> bool:
     """Graph isomorphism respecting node kinds and edge multiplicities."""
-    if a.loops != b.loops:
-        return False
     return nx.is_isomorphic(
         a.graph(), b.graph(), node_match=categorical_node_match("kind", None)
     )

@@ -28,9 +28,9 @@ class IndexResult:
 
 
 def _angle_steps(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Signed angle from vector i to vector i+1, in (-pi, pi]."""
-    un, vn = u[:-1], v[:-1]
-    um, vm = u[1:], v[1:]
+    """Signed angle from vector i to vector i+1 along the last axis, in (-pi, pi]."""
+    un, vn = u[..., :-1], v[..., :-1]
+    um, vm = u[..., 1:], v[..., 1:]
     return np.arctan2(un * vm - vn * um, un * um + vn * vm)
 
 

@@ -199,6 +199,7 @@ def test_analyze_indeterminate_reports_and_skips_ladder():
     assert rep.decision == "indeterminate"
     assert rep.branches == ()
     assert rep.verification.verdict == "inconclusive"
+    assert verify(fam, (0.0, 0.0)) == rep.verification
 
 
 # ---------------------------------------------------------------------------

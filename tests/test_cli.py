@@ -165,6 +165,33 @@ def test_byte_identical_reruns(capsys):
     assert out3 == out4
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", S4, "--box", "nan", "-1", "1", "1"),
+        ("classify", S4, "--box", "-1", "-1", "inf", "1"),
+        ("bifurcate", SPLIT, "--point", "nan", "0"),
+        ("bifurcate", SPLIT, "--point", "0", "inf"),
+        ("index", S4, "--center", "nan", "0", "--radius", "0.1"),
+        ("index", S4, "--center", "0", "0", "--radius", "nan"),
+        ("index", S4, "--center", "0", "0", "--radius", "inf"),
+        ("trace", S4, "--seed", "nan", "0.1"),
+        ("trace", S4, "--seed", "0.3", "inf"),
+        ("classify", S4, "--tol", "nan"),
+        ("classify", S4, "--tol", "inf"),
+        ("bifurcate", SPLIT, "--point", "0", "0", "--eps-scale", "nan"),
+        ("bifurcate", SPLIT, "--point", "0", "0", "--eps-scale", "inf"),
+        ("bifurcate", SPLIT, "--point", "0", "0", "--eps-ladder", "nan", "1e-3"),
+        ("bifurcate", SPLIT, "--point", "0", "0", "--eps-ladder", "inf", "1e-3"),
+    ],
+)
+def test_non_finite_flags_exit_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: ")
+
+
 def test_runconfig_validates_ladder():
     with pytest.raises(_UsageError):
         RunConfig("bifurcate", path="x", ladder=(1e-3, 1e-2))

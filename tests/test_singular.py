@@ -11,6 +11,7 @@ from flowbif import (
     extract_degeneracy,
     find_singular_points,
     newton_polish,
+    winding_index,
 )
 from flowbif.singular import CASE_INDEX, case_label, make_normal_form, with_options
 
@@ -62,14 +63,31 @@ def test_extract_degeneracy_on_normal_forms(label, params):
     assert d.index == CASE_INDEX[label]
 
 
-@given(st.floats(0.0, 2 * np.pi), st.sampled_from(sorted(CASE_PARAMS)))
+@given(
+    st.floats(0.0, 2 * np.pi),
+    st.sampled_from(sorted(CASE_PARAMS)),
+    st.floats(-0.5, 0.5),
+    st.floats(-0.5, 0.5),
+)
 @settings(max_examples=40)
-def test_case_label_rotation_invariant(theta, label):
+def test_case_label_rotation_invariant(theta, label, ox, oy):
     f = make_normal_form(*CASE_PARAMS[label])
     rotated = f.in_frame(Frame.rotation((0.0, 0.0), theta))
     d = extract_degeneracy(rotated, (0.0, 0.0))
     assert d.case_label == label
     assert (d.k, d.n) == CASE_PARAMS[label][3:]
+
+    # rigid motion p -> o + R p moves the zero to o
+    o = np.array([ox, oy])
+    rot = Frame.rotation((0.0, 0.0), theta).rot
+    moved = f.in_frame(Frame.rotation(-rot.T @ o, -theta))
+    d = extract_degeneracy(moved, o)
+    assert d.case_label == label
+    assert (d.k, d.n) == CASE_PARAMS[label][3:]
+    assert d.index == CASE_INDEX[label]
+    assert classify_point(moved, o).kind == "degenerate"
+    if label != "S5":
+        assert winding_index(moved, o, 0.1).winding == CASE_INDEX[label]
 
 
 def test_extract_degeneracy_off_origin():
