@@ -30,9 +30,6 @@ from .singular import (
 DEFAULT_LADDER = (1e-2, 1e-3, 1e-4)
 DECISION_TOL = 1e-9  # coefficients at or below this count as zero in decisions
 
-_KIND_INDEX = {"saddle": -1, "center": 1}
-
-
 @dataclass(frozen=True)
 class PerturbationData:
     """First-order data of the perturbing field at the degenerate zero.
@@ -220,14 +217,6 @@ class BifurcationReport:
     notes: tuple[str, ...] = ()
 
 
-def _point_index(point) -> int | None:
-    if point.kind in _KIND_INDEX:
-        return _KIND_INDEX[point.kind]
-    if point.degeneracy is not None:
-        return point.degeneracy.index
-    return None
-
-
 def _expected_kinds(index: int, three: bool) -> tuple[str, ...]:
     if three:
         if index == -1:
@@ -267,7 +256,7 @@ def _run_ladder(
         points = find_singular_points(w, (-half, -half, half, half), opts)
         counts.append(len(points))
         kindsets.append(tuple(sorted(pt.kind for pt in points)))
-        idxs = [_point_index(pt) for pt in points]
+        idxs = [pt.index for pt in points]
         sums.append(None if any(i is None for i in idxs) else int(sum(idxs)))
 
         errs: tuple[float, ...] = ()

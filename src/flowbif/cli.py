@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .bifurcation import DECISION_TOL, DEFAULT_LADDER, analyze
-from .errors import AnalysisRefusal, FlowbifError, StepLimitError
+from .errors import AnalysisRefusal, FlowbifError
 from .field import PolyVectorField, TimeFamily
 from .fieldfile import load_field_file
 from .render import render_portrait, write_portrait
@@ -143,7 +143,7 @@ def _classify_row(pt) -> dict:
         "x": _fmt(pt.location[0]),
         "y": _fmt(pt.location[1]),
         "kind": pt.kind,
-        "index": "",
+        "index": "" if pt.index is None else str(pt.index),
         "case": "",
         "alpha": "",
         "beta": "",
@@ -151,15 +151,10 @@ def _classify_row(pt) -> dict:
         "k": "",
         "n": "",
     }
-    if pt.kind == "saddle":
-        row["index"] = "-1"
-    elif pt.kind == "center":
-        row["index"] = "1"
-    elif pt.degeneracy is not None:
-        d = pt.degeneracy
+    d = pt.degeneracy
+    if d is not None:
         row.update(
             case=d.case_label,
-            index="" if d.index is None else str(d.index),
             alpha=_fmt(d.alpha),
             beta=_fmt(d.beta),
             lam=_fmt(d.lam),
@@ -317,13 +312,7 @@ def _run_bifurcate(cfg: RunConfig) -> int:
 
 def _run_trace(cfg: RunConfig) -> int:
     field = _need_field(cfg)
-    try:
-        orbit = integrate_streamline(
-            field, cfg.point, cfg.box, backward=cfg.backward
-        )
-    except StepLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    orbit = integrate_streamline(field, cfg.point, cfg.box, backward=cfg.backward)
     if cfg.fmt == "csv":
         print("vertex,x,y")
         for i, q in enumerate(orbit.points):

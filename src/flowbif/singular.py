@@ -85,6 +85,15 @@ class SingularPoint:
     degeneracy: DegeneracyData | None = None
     note: str = ""
 
+    @property
+    def index(self) -> int | None:
+        """Brouwer index: saddle -1, center +1, else that of the degeneracy case (or None)."""
+        if self.kind == "saddle":
+            return -1
+        if self.kind == "center":
+            return 1
+        return None if self.degeneracy is None else self.degeneracy.index
+
 
 def make_normal_form(alpha: float, beta: float, lam: float, k: int, n: int) -> PolyVectorField:
     """Divergence-free field with the given degeneracy invariants at the origin."""
@@ -108,15 +117,13 @@ def case_label(
     if abs(alpha) <= _COEF_TOL or abs(beta) <= _COEF_TOL or abs(lam) <= _COEF_TOL:
         raise InvalidCaseDataError("alpha, beta and lam must all be nonzero")
     if 2 * k > n + 1:
-        if n % 2 == 0:
-            return "S1", 0
-        return ("S2", -1) if alpha * beta > 0 else ("S3", 1)
-    if 2 * k == n + 1:
+        label = "S1" if n % 2 == 0 else ("S2" if alpha * beta > 0 else "S3")
+    elif 2 * k == n + 1:
         disc = lam * lam * k + alpha * beta
-        if abs(disc) <= _S5_TOL:
-            return "S5", None
-        return ("S4", -1) if disc > 0 else ("S6", 1)
-    return "S7", -1
+        label = "S5" if abs(disc) <= _S5_TOL else ("S4" if disc > 0 else "S6")
+    else:
+        label = "S7"
+    return label, CASE_INDEX[label]
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,13 @@ Orbits of a divergence-free field are traced with an adaptive
 Dormand-Prince 4(5) integrator on the arc-length-normalized dynamics
 dx/ds = u/|u|.  A dynamic step cap of 0.5*|u|/Lambda (Lambda a gradient
 bound over the box) keeps steps from overshooting singular points, so a
-drop of |u| below the capture threshold is always observed.  The local
-structure is summarized as a graph: saddle nodes, center nodes, a
-boundary node, and separatrix edges; two fields are topologically
-equivalent here when those graphs are isomorphic respecting node kinds.
+drop of |u| below the capture threshold is always observed.  The 7th
+stage of a step is evaluated at the accepted point and is reused as the
+next step's 1st (first same as last), so each accepted point has its
+field computed once.  The local structure is summarized as a graph:
+saddle nodes, center nodes, a boundary node, and separatrix edges; two
+fields are topologically equivalent here when those graphs are
+isomorphic respecting node kinds.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import networkx as nx
 import numpy as np
 from networkx.algorithms.isomorphism import categorical_node_match
 
-from .errors import CurveZeroError, StepLimitError
+from .errors import CurveZeroError, FlowbifError, StepLimitError
 from .field import PolyVectorField
 from .singular import DEFAULT_SEARCH, SearchOptions, SingularPoint, find_singular_points
 from .winding import index_sum
@@ -34,7 +37,7 @@ _DP_A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_DP_B5 = _DP_A[6] + (0.0,)
 _DP_B4 = (
     5179 / 57600,
     0.0,
@@ -135,136 +138,128 @@ def _clip_to_box(a: np.ndarray, b: np.ndarray, box) -> np.ndarray:
     return a + t_best * d
 
 
-class _Tracer:
-    def __init__(self, field, box, sc, nodes):
-        self.field = field
-        self.box = tuple(float(b) for b in box)
-        self.sc = sc
-        self.nodes = [np.asarray(n, dtype=float) for n in nodes]
+def _trace(field, box, sc, nodes, seed, sign) -> tuple[np.ndarray, str, tuple[str, ...]]:
+    """Integrate dx/ds = sign*u/|u| from seed.
 
-    def _rhs(self, x, sign):
-        u = self.field(x)
+    Returns the points in integration order, the end kind and the flags.
+    """
+
+    def rhs(p):
+        u = field(p)
         speed = float(np.hypot(*u))
         if speed < 1e-300:
             return None, 0.0
         return sign * u / speed, speed
 
-    def run(self, seed, sign) -> tuple[np.ndarray, str, tuple[str, ...]]:
-        sc = self.sc
-        x0b, y0b, x1b, y1b = self.box
-        x = np.asarray(seed, dtype=float).reshape(2).copy()
-        f0, speed = self._rhs(x, sign)
-        if f0 is None:
-            raise ValueError("seed lies on a singular point")
-        pts = [x.copy()]
-        flags: set[str] = set()
-        start = x.copy()
-        start_dir = f0
-        armed_speed = speed >= 2.0 * sc.capture_speed
-        closure_armed = False
-        near_nodes: set[int] = set()
-        left_ball = [False] * len(self.nodes)
-        h = min(sc.max_step, 0.5 * speed / sc.lam)
-        end = "stalled"
-        steps = 0
-        while steps < _MAX_STEPS:
-            steps += 1
-            h = min(h, sc.max_step, 0.5 * speed / sc.lam)
-            if h < 1e-15 * sc.L:
-                flags.add("step-floor")
-                end = "stalled"
+    box = tuple(float(b) for b in box)
+    x0b, y0b, x1b, y1b = box
+    nodes = [np.asarray(n, dtype=float) for n in nodes]
+    x = np.asarray(seed, dtype=float).reshape(2).copy()
+    k1, speed = rhs(x)
+    if k1 is None:
+        raise FlowbifError("seed lies on a singular point")
+    pts = [x]
+    flags: set[str] = set()
+    start, start_dir = x, k1
+    armed_speed = speed >= 2.0 * sc.capture_speed
+    closure_armed = False
+    near_nodes: set[int] = set()
+    left_ball = [False] * len(nodes)
+    h = sc.max_step
+    end = "stalled"
+    for _ in range(_MAX_STEPS):
+        h = min(h, sc.max_step, 0.5 * speed / sc.lam)
+        if h < 1e-15 * sc.L:
+            flags.add("step-floor")
+            break
+        # stage 1 is the previous step's stage 7, evaluated at x
+        ks = [k1]
+        for row in _DP_A[1:]:
+            xi = x + h * sum(a * k for a, k in zip(row, ks) if a != 0.0)
+            ki, si = rhs(xi)
+            if ki is None:
                 break
-            ks = []
-            stage_fail = False
-            for row in _DP_A:
-                xi = x if not row else x + h * sum(
-                    a * k for a, k in zip(row, ks) if a != 0.0
-                )
-                ki, _ = self._rhs(xi, sign)
-                if ki is None:
-                    stage_fail = True
-                    break
-                ks.append(ki)
-            if stage_fail:
-                h *= 0.5
-                continue
-            x_new = x + h * sum(b * k for b, k in zip(_DP_B5, ks) if b != 0.0)
-            err = h * float(
-                np.hypot(
-                    *sum((b5 - b4) * k for b5, b4, k in zip(_DP_B5, _DP_B4, ks))
-                )
+            ks.append(ki)
+        if ki is None:
+            h *= 0.5
+            continue
+        # row 7 of _DP_A is _DP_B5, so the last stage point is the 5th-order update
+        x_new = xi
+        err = h * float(
+            np.hypot(
+                *sum((b5 - b4) * k for b5, b4, k in zip(_DP_B5, _DP_B4, ks))
             )
-            en = err / sc.err_abs
-            if en > 1.0:
-                h *= max(0.2, 0.9 * en ** -0.2)
-                continue
+        )
+        en = err / sc.err_abs
+        if en > 1.0:
+            h *= max(0.2, 0.9 * en ** -0.2)
+            continue
 
-            # box exit
-            if not (x0b <= x_new[0] <= x1b and y0b <= x_new[1] <= y1b):
-                pts.append(_clip_to_box(x, x_new, self.box))
-                end = "box-exit"
-                break
+        # box exit
+        if not (x0b <= x_new[0] <= x1b and y0b <= x_new[1] <= y1b):
+            pts.append(_clip_to_box(x, x_new, box))
+            end = "box-exit"
+            break
 
-            # node proximity bookkeeping (near-miss flags, used by signature);
-            # only re-entries count, so launch segments next to their own
-            # node stay silent
-            for j, nd in enumerate(self.nodes):
-                d, _ = _seg_point_dist(x, x_new, nd)
-                if d > 10.0 * sc.capture_radius:
-                    left_ball[j] = True
-                elif left_ball[j]:
-                    near_nodes.add(j)
+        # node proximity bookkeeping (near-miss flags, used by signature);
+        # only re-entries count, so launch segments next to their own
+        # node stay silent
+        for j, nd in enumerate(nodes):
+            d, _ = _seg_point_dist(x, x_new, nd)
+            if d > 10.0 * sc.capture_radius:
+                left_ball[j] = True
+            elif left_ball[j]:
+                near_nodes.add(j)
 
-            # closure: segment passing the start point again, same direction
-            dseg, t = _seg_point_dist(x, x_new, start)
-            step_dir = (x_new - x) / max(float(np.hypot(*(x_new - x))), 1e-300)
-            if (
-                closure_armed
-                and dseg < sc.closure_tol
-                and float(step_dir @ start_dir) > 0.5
-            ):
-                pts.append(x + t * (x_new - x))
-                end = "closed"
-                break
-            if float(np.hypot(*(x_new - start))) > 50.0 * sc.closure_tol:
-                closure_armed = True
+        # closure: segment passing the start point again, same direction
+        dseg, t = _seg_point_dist(x, x_new, start)
+        step_dir = (x_new - x) / max(float(np.hypot(*(x_new - x))), 1e-300)
+        if (
+            closure_armed
+            and dseg < sc.closure_tol
+            and float(step_dir @ start_dir) > 0.5
+        ):
+            pts.append(x + t * (x_new - x))
+            end = "closed"
+            break
+        if float(np.hypot(*(x_new - start))) > 50.0 * sc.closure_tol:
+            closure_armed = True
 
-            fn, speed = self._rhs(x_new, sign)
-            if fn is None:
-                speed = 0.0
-            if speed >= 2.0 * sc.capture_speed:
-                armed_speed = True
-            pts.append(x_new.copy())
-            x = x_new
-            if armed_speed and speed < sc.capture_speed:
-                j = self._nearest_node(x)
-                if j is None:
-                    flags.add("capture-without-node")
-                    end = "stalled"
-                else:
-                    end = f"node:{j}"
-                break
-            h *= min(5.0, max(0.2, 0.9 * max(en, 1e-12) ** -0.2))
-        else:
-            raise StepLimitError(
-                f"orbit exceeded {_MAX_STEPS} steps",
-                orbit=Orbit(np.array(pts), "seed", "stalled", ("step-limit",)),
+        k1, speed = ki, si
+        if speed >= 2.0 * sc.capture_speed:
+            armed_speed = True
+        pts.append(x_new)
+        x = x_new
+        if armed_speed and speed < sc.capture_speed:
+            # nearest node, the first one on a tie, within 100 capture radii
+            j = min(
+                range(len(nodes)),
+                key=lambda i: float(np.hypot(*(x - nodes[i]))),
+                default=None,
             )
+            if j is None or float(np.hypot(*(x - nodes[j]))) > 100.0 * sc.capture_radius:
+                flags.add("capture-without-node")
+            else:
+                end = f"node:{j}"
+            break
+        h *= min(5.0, max(0.2, 0.9 * max(en, 1e-12) ** -0.2))
+    else:
+        raise StepLimitError(
+            f"orbit exceeded {_MAX_STEPS} steps",
+            orbit=Orbit(np.array(pts), "seed", "stalled", ("step-limit",)),
+        )
 
-        for j in near_nodes:
-            if end != f"node:{j}":
-                flags.add(f"near-miss:{j}")
-        return np.array(pts), end, tuple(sorted(flags))
+    for j in near_nodes:
+        if end != f"node:{j}":
+            flags.add(f"near-miss:{j}")
+    return np.array(pts), end, tuple(sorted(flags))
 
-    def _nearest_node(self, x):
-        best, bj = None, None
-        for j, nd in enumerate(self.nodes):
-            d = float(np.hypot(*(x - nd)))
-            if best is None or d < best:
-                best, bj = d, j
-        if best is None or best > 100.0 * self.sc.capture_radius:
-            return None
-        return bj
+
+def _flow_aligned(pts, end, flags, backward: bool, seed_kind: str) -> Orbit:
+    """Orbit stored with the flow: a backward run is reversed, so it ends at its seed."""
+    if backward:
+        return Orbit(pts[::-1].copy(), end, seed_kind, flags)
+    return Orbit(pts, seed_kind, end, flags)
 
 
 def integrate_streamline(
@@ -274,20 +269,21 @@ def integrate_streamline(
     *,
     nodes=(),
     backward: bool = False,
-    start_kind: str = "seed",
 ) -> Orbit:
     """Trace one streamline until box exit, closure, or capture.
 
-    ``nodes`` are known singular points used for capture attribution.
-    Backward runs are reversed before return, so the stored polyline is
-    always flow-aligned (start/end kinds swap accordingly).
+    ``seed`` must lie in the closed box.  ``nodes`` are known singular
+    points used for capture attribution.  Backward runs are reversed before
+    return, so the stored polyline is always flow-aligned (start/end kinds
+    swap accordingly).
     """
+    sx, sy = (float(c) for c in np.asarray(seed, dtype=float).reshape(2))
+    x0, y0, x1, y1 = (float(b) for b in box)
+    if not (x0 <= sx <= x1 and y0 <= sy <= y1):
+        raise FlowbifError(f"seed ({sx:g}, {sy:g}) lies outside the box")
     sc = _scales(field, box)
-    tracer = _Tracer(field, box, sc, nodes)
-    pts, end, flags = tracer.run(seed, -1.0 if backward else 1.0)
-    if backward:
-        return Orbit(pts[::-1].copy(), end, start_kind, flags)
-    return Orbit(pts, start_kind, end, flags)
+    pts, end, flags = _trace(field, box, sc, nodes, seed, -1.0 if backward else 1.0)
+    return _flow_aligned(pts, end, flags, backward, "seed")
 
 
 def separatrices(
@@ -317,7 +313,6 @@ def separatrices(
     v_stable = vecs[:, 1 - iu] / np.hypot(*vecs[:, 1 - iu])
 
     sc = _scales(field, box)
-    tracer = _Tracer(field, box, sc, nodes)
     loc = np.asarray(saddle.location, dtype=float)
     tag = "node:?" if self_index is None else f"node:{self_index}"
 
@@ -339,16 +334,12 @@ def separatrices(
     orbits = []
     for seed, stable in launches:
         try:
-            pts, end, flags = tracer.run(seed, -1.0 if stable else 1.0)
+            pts, end, flags = _trace(
+                field, box, sc, nodes, seed, -1.0 if stable else 1.0
+            )
         except StepLimitError as exc:
-            partial = exc.orbit
-            pts = partial.points
-            end = "stalled"
-            flags = partial.flags
-        if stable:
-            orbits.append(Orbit(pts[::-1].copy(), end, tag, flags))
-        else:
-            orbits.append(Orbit(pts, tag, end, flags))
+            pts, end, flags = exc.orbit.points, "stalled", exc.orbit.flags
+        orbits.append(_flow_aligned(pts, end, flags, stable, tag))
     return orbits
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CurveZeroError, WindingConvergenceError
+from .errors import CurveZeroError, FlowbifError, WindingConvergenceError
 from .field import PolyVectorField
 
 # Refine any step whose unsigned angle change reaches this (just under pi/2).
@@ -42,13 +42,20 @@ def _winding_on_curve(
     max_samples: int,
 ) -> IndexResult:
     """curve(t) maps a [0, 1] array to points on a closed loop, t=0 and t=1 equal."""
+
+    def sample(t):
+        # a curve far out overflows the polynomial; the check below reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return field.evaluate_many(*curve(t))
+
     ts = np.linspace(0.0, 1.0, initial_samples + 1)
-    xs, ys = curve(ts)
-    u, v = field.evaluate_many(xs, ys)
+    u, v = sample(ts)
 
     extra_rounds_left = 1  # one clean doubling pass must confirm the integer
     prev_winding = None
     while True:
+        if not (np.isfinite(u).all() and np.isfinite(v).all()):
+            raise FlowbifError("field is not finite on the curve")
         mag = np.hypot(u, v)
         mn, mx = float(mag.min()), float(mag.max())
         if mn <= zero_tol * mx or mx == 0.0:
@@ -77,8 +84,7 @@ def _winding_on_curve(
                 f"winding not stable within {max_samples} samples"
             )
         mids = 0.5 * (ts[:-1][split] + ts[1:][split])
-        mx_, my_ = curve(mids)
-        mu, mv = field.evaluate_many(mx_, my_)
+        mu, mv = sample(mids)
         ts = np.insert(ts, np.nonzero(split)[0] + 1, mids)
         u = np.insert(u, np.nonzero(split)[0] + 1, mu)
         v = np.insert(v, np.nonzero(split)[0] + 1, mv)

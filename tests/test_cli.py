@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from flowbif.cli import RunConfig, _UsageError, main
@@ -72,6 +74,18 @@ def test_index_zero_on_curve_exits_1(capsys):
     assert "on curve" in err
 
 
+def test_index_overflow_on_curve_exits_1(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(
+            capsys, "index", S4, "--center", "0", "0", "--radius", "1e300"
+        )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "not finite" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def test_bifurcate_text_report(capsys):
     code, out, _ = run_cli(capsys, "bifurcate", SPLIT, "--point", "0", "0")
     assert code == 0
@@ -119,6 +133,20 @@ def test_trace_csv(capsys):
     lines = out.splitlines()
     assert lines[0] == "vertex,x,y"
     assert lines[1].startswith("0,0.2,0.1")
+
+
+def test_trace_seed_on_zero_exits_1(capsys):
+    code, out, err = run_cli(capsys, "trace", S4, "--seed", "0", "0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "singular point" in err
+
+
+def test_trace_seed_outside_box_exits_1(capsys):
+    code, out, err = run_cli(capsys, "trace", S4, "--seed", "5", "5")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "outside the box" in err
 
 
 def test_signature_output(capsys):

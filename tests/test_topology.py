@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from flowbif import (
+    FlowbifError,
+    PolyVectorField,
     classify_point,
     equivalent,
     integrate_streamline,
@@ -71,6 +73,38 @@ def test_orbit_segments_tangent_to_field():
         cosang = float(seg @ vec) / (L * s)
         worst = max(worst, np.degrees(np.arccos(np.clip(cosang, -1, 1))))
     assert worst < 5.0
+
+
+def test_seed_must_lie_in_box():
+    f = field(*SADDLE)
+    with pytest.raises(FlowbifError, match="outside the box"):
+        integrate_streamline(f, (5.0, 5.0), BOX)
+    # the closed box: a seed on the boundary is allowed
+    orbit = integrate_streamline(f, (1.0, 0.5), BOX)
+    assert orbit.end_kind == "box-exit"
+    assert np.allclose(orbit.points[0], (1.0, 0.5))
+
+
+def test_seed_on_zero_is_an_error():
+    with pytest.raises(FlowbifError, match="singular point"):
+        integrate_streamline(field(*SADDLE), (0.0, 0.0), BOX)
+
+
+def test_each_accepted_point_evaluated_once(monkeypatch):
+    # Dormand-Prince: 6 new stages per accepted step when stage 7 (at the
+    # accepted point) is reused as the next stage 1, 8 without the reuse
+    calls = []
+    call = PolyVectorField.__call__
+
+    def counted(self, p):
+        calls.append(1)
+        return call(self, p)
+
+    monkeypatch.setattr(PolyVectorField, "__call__", counted)
+    f = make_normal_form(1, 1, 1, 2, 3)
+    orbit = integrate_streamline(f, (0.3, 0.2), BOX)
+    assert len(orbit.points) > 10
+    assert len(calls) < 7 * len(orbit.points)
 
 
 # ---------------------------------------------------------------------------
