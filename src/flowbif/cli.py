@@ -21,7 +21,7 @@ from .errors import AnalysisRefusal, FlowbifError
 from .field import PolyVectorField, TimeFamily
 from .fieldfile import load_field_file
 from .render import render_portrait, write_portrait
-from .singular import DEFAULT_SEARCH, find_singular_points, with_options
+from .singular import DEFAULT_SEARCH, SearchOptions, find_singular_points
 from .topology import integrate_streamline, separatrix_portrait
 from .winding import winding_index
 
@@ -114,10 +114,8 @@ def _need_family(cfg: RunConfig) -> TimeFamily:
     return value
 
 
-def _search_opts(cfg: RunConfig):
-    if cfg.tol is None:
-        return DEFAULT_SEARCH
-    return with_options(res_tol=cfg.tol)
+def _search_opts(cfg: RunConfig) -> SearchOptions:
+    return DEFAULT_SEARCH if cfg.tol is None else SearchOptions(res_tol=cfg.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -457,29 +455,14 @@ def build_parser() -> _Parser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    kw = {"subcommand": args.subcommand, "path": args.path, "strict": args.strict}
-    if hasattr(args, "box"):
-        kw["box"] = tuple(args.box)
-    if hasattr(args, "fmt"):
-        kw["fmt"] = args.fmt
-    if getattr(args, "tol", None) is not None:
-        kw["tol"] = args.tol
-    if getattr(args, "ladder", None) is not None:
-        kw["ladder"] = tuple(args.ladder)
-    if hasattr(args, "eps_scale"):
-        kw["eps_scale"] = args.eps_scale
-    if hasattr(args, "no_verify"):
-        kw["no_verify"] = args.no_verify
-    if getattr(args, "point", None) is not None:
-        kw["point"] = tuple(args.point)
-    if getattr(args, "center", None) is not None:
-        kw["point"] = tuple(args.center)
-    if getattr(args, "radius", None) is not None:
-        kw["radius"] = args.radius
-    if hasattr(args, "backward"):
-        kw["backward"] = args.backward
-    if hasattr(args, "out"):
-        kw["out"] = args.out
+    # every flag is named after a RunConfig field, except --center (the point)
+    kw = {
+        k: tuple(v) if isinstance(v, list) else v
+        for k, v in vars(args).items()
+        if v is not None
+    }
+    if "center" in kw:
+        kw["point"] = kw.pop("center")
     return RunConfig(**kw)
 
 
@@ -496,10 +479,7 @@ def main(argv=None) -> int:
     except AnalysisRefusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
-    except FlowbifError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (FlowbifError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -62,9 +62,6 @@ class Frame:
         """Rotation matrix with columns e1, e2."""
         return np.column_stack([self.e1, self.e2])
 
-    def to_local(self, p) -> np.ndarray:
-        return self.rot.T @ (np.asarray(p, dtype=float) - self.origin)
-
     def to_world(self, xi) -> np.ndarray:
         return self.origin + self.rot @ np.asarray(xi, dtype=float)
 
@@ -182,10 +179,6 @@ class PolyVectorField:
         w1 = r[0, 0] * shifted_u + r[1, 0] * shifted_v
         w2 = r[0, 1] * shifted_u + r[1, 1] * shifted_v
         return PolyVectorField(w1, w2)
-
-    def scale_axes(self, s: float) -> "PolyVectorField":
-        """Field in coordinates X = x / s (isotropic zoom), unnormalised."""
-        return PolyVectorField(self.u.scale_axes(s, s), self.v.scale_axes(s, s))
 
     # -- algebra ------------------------------------------------------
 

@@ -204,13 +204,6 @@ class Poly2:
                 out = out + val * (pow1[i] * pow2[j])
         return out
 
-    def scale_axes(self, sx: float, sy: float) -> "Poly2":
-        """p(sx*x, sy*y) by coefficient scaling."""
-        c = self.coef
-        fx = sx ** np.arange(c.shape[0])
-        fy = sy ** np.arange(c.shape[1])
-        return Poly2(c * fx[:, None] * fy[None, :])
-
     # -- bounds -------------------------------------------------------
 
     def abs_bound(self, m: float) -> float:

@@ -27,7 +27,7 @@ level and polished with damped Newton.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,8 @@ from .winding import _ANGLE_CAP, _angle_steps
 _MAG_RATIO = 1e-3  # boundary magnitude ratio below which a cell winding is unreliable
 _MAX_DEPTH = 14  # finest subdivision level
 _CLUSTER_RADIUS = 1e-6  # candidates closer than this are one zero
-_DET_TOL = 1e-9  # |det J| at or below this (x max(1, |J|)^2) is degenerate
+_DET_TOL = 1e-9  # |det(J / max(1, |J|))| at or below this is degenerate
+_NEWTON_MAX_ITER = 50  # damped Newton steps per seed
 _COEF_TOL = 1e-9  # invariants and frame coefficients at or below this are zero
 _S5_TOL = 1e-9  # |lam^2*k + alpha*beta| at or below this is S5
 
@@ -57,7 +58,6 @@ class SearchOptions:
 
     res_tol: float = 1e-10
     max_cells: int = 1_000_000
-    newton_max_iter: int = 50
 
 
 DEFAULT_SEARCH = SearchOptions()
@@ -126,6 +126,13 @@ def case_label(
     return label, CASE_INDEX[label]
 
 
+def _scaled_det(jac: np.ndarray) -> tuple[float, float]:
+    """det(J / max(1, |J|)) and |J| (largest entry): cannot overflow, exact for |J| <= 1."""
+    jnorm = float(np.max(np.abs(jac)))
+    a = jac / max(1.0, jnorm)
+    return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]), jnorm
+
+
 # ---------------------------------------------------------------------------
 # degeneracy extraction
 
@@ -147,12 +154,12 @@ def extract_degeneracy(
         raise InvalidCaseDataError(f"point is not a zero: |field| = {res:.3g}")
 
     jac = field.jacobian(p)
-    jnorm = float(np.max(np.abs(jac)))
+    det, jnorm = _scaled_det(jac)
     if jnorm <= _COEF_TOL:
         raise NotSimpleError("Jacobian vanishes at the zero; not a simple degenerate point")
-    det = float(jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0])
-    if abs(det) > _DET_TOL * max(1.0, jnorm) ** 2:
-        raise InvalidCaseDataError(f"Jacobian is nondegenerate (det = {det:.3g})")
+    if abs(det) > _DET_TOL:
+        s = max(1.0, jnorm)
+        raise InvalidCaseDataError(f"Jacobian is nondegenerate (det = {det * s * s:.3g})")
 
     _, _, vt = np.linalg.svd(jac)
     e1 = vt[1]  # kernel direction (smallest singular value)
@@ -198,12 +205,10 @@ def classify_point(
     """Classify a zero as saddle/center or route it to degeneracy extraction."""
     p = np.asarray(p, dtype=float).reshape(2)
     jac = field.jacobian(p)
-    jnorm = float(np.max(np.abs(jac)))
-    det = float(jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0])
-    det_tol = _DET_TOL * max(1.0, jnorm) ** 2
-    if det < -det_tol:
+    det, _ = _scaled_det(jac)
+    if det < -_DET_TOL:
         return SingularPoint(p, jac, "saddle")
-    if det > det_tol:
+    if det > _DET_TOL:
         return SingularPoint(p, jac, "center")
     try:
         data = extract_degeneracy(field, p, opts)
@@ -222,14 +227,15 @@ def newton_polish(
     """Damped Newton from p0, iterated to numerical convergence.
 
     Damping halves the step while the residual would increase.  Near simple
-    degenerate zeros convergence is geometric with ratio (k-1)/k, which the
-    default iteration count covers comfortably.
+    degenerate zeros convergence is geometric with ratio (k-1)/k, which
+    _NEWTON_MAX_ITER covers comfortably.  ``opts`` is unused here; perfbench
+    reads ``opts.res_tol`` from the call to judge acceptance.
     """
     x = np.asarray(p0, dtype=float).reshape(2).copy()
     f = field(x)
     r = float(np.hypot(*f))
     slow_rounds = 0
-    for _ in range(opts.newton_max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         if r == 0.0:
             break
         jac = field.jacobian(x)
@@ -471,9 +477,7 @@ def find_singular_points(
     refined: list[tuple[np.ndarray, float]] = []
     for cluster in _cluster(candidates, _CLUSTER_RADIUS):
         pt, res = min(cluster, key=lambda c: (c[1], c[0][0], c[0][1]))
-        jac = field.jacobian(pt)
-        det = float(jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0])
-        if abs(det) <= 1e-4 * max(1.0, float(np.max(np.abs(jac)))) ** 2:
+        if abs(_scaled_det(field.jacobian(pt))[0]) <= 1e-4:
             cand = _constrained_refine(field, pt)
             cres = float(np.hypot(*field(cand)))
             if cres <= res and np.all(np.isfinite(cand)):
@@ -486,8 +490,3 @@ def find_singular_points(
         points.append(classify_point(field, best[0], opts))
     points.sort(key=lambda s: (s.location[0], s.location[1]))
     return points
-
-
-def with_options(**kw) -> SearchOptions:
-    """Convenience: DEFAULT_SEARCH with the given fields replaced."""
-    return replace(DEFAULT_SEARCH, **kw)

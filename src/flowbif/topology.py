@@ -10,16 +10,14 @@ next step's 1st (first same as last), so each accepted point has its
 field computed once.  The local structure is summarized as a graph:
 saddle nodes, center nodes, a boundary node, and separatrix edges; two
 fields are topologically equivalent here when those graphs are
-isomorphic respecting node kinds.
+isomorphic respecting node kinds and edge multiplicities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
-from networkx.algorithms.isomorphism import categorical_node_match
 
 from .errors import CurveZeroError, FlowbifError, StepLimitError
 from .field import PolyVectorField
@@ -363,19 +361,13 @@ class TopologySignature:
     index_total: int | None
     flags: tuple[str, ...] = ()
 
-    def graph(self) -> nx.MultiGraph:
-        g = nx.MultiGraph()
-        for i, kind in enumerate(self.nodes):
-            g.add_node(i, kind=kind)
-        g.add_node("B", kind="boundary")
-        for a, b, mult in self.edges:
-            for _ in range(mult):
-                g.add_edge(a, b)
-        return g
-
 
 def _edge_order(x):
     return (1, 0) if isinstance(x, str) else (0, x)
+
+
+def _edge_key(a, b) -> tuple:
+    return tuple(sorted((a, b), key=_edge_order))
 
 
 def _build_signature(
@@ -402,7 +394,7 @@ def _build_signature(
         flags.add("boundary-index-unavailable")
 
     directed: dict[tuple[int, int], int] = {}
-    boundary: dict[int, int] = {}
+    edge_mult: dict[tuple[object, object], int] = {}
     orbits: list[Orbit] = []
     for i, pt in enumerate(points):
         if pt.kind != "saddle":
@@ -417,28 +409,23 @@ def _build_signature(
                     if kinds[j] == "saddle" and far != f"node:{j}":
                         flags.add(f"ambiguous-near-miss:{i}-{j}")
             if far == "box-exit":
-                boundary[i] = boundary.get(i, 0) + 1
+                edge_mult[(i, "B")] = edge_mult.get((i, "B"), 0) + 1
             elif far.startswith("node:"):
                 j = int(far.split(":")[1])
                 if kinds[j] == "saddle":
-                    if orb.start_kind == f"node:{i}":
-                        key = (i, j)  # flow i -> j
-                    else:
-                        key = (j, i)
+                    # keyed by flow direction
+                    key = (i, j) if orb.start_kind == f"node:{i}" else (j, i)
                     directed[key] = directed.get(key, 0) + 1
                 else:
                     flags.add(f"separatrix-ends-at-{kinds[j]}")
             else:
                 flags.add(f"separatrix-{far}")
 
-    edge_mult: dict[tuple[object, object], int] = {}
     for (a, b), cnt in directed.items():
         if cnt % 2 == 1:
             flags.add(f"unpaired-connection:{a}-{b}")
-        key = (a, b) if a <= b else (b, a)
+        key = _edge_key(a, b)
         edge_mult[key] = edge_mult.get(key, 0) + (cnt + 1) // 2
-    for i, cnt in boundary.items():
-        edge_mult[(i, "B")] = edge_mult.get((i, "B"), 0) + cnt
 
     edges = tuple(
         sorted(
@@ -472,8 +459,44 @@ def separatrix_portrait(
     return _build_signature(field, box, search_opts)
 
 
+def _edge_multiset(sig: TopologySignature) -> dict[tuple, int]:
+    mult: dict[tuple, int] = {}
+    for a, b, m in sig.edges:
+        mult[_edge_key(a, b)] = mult.get(_edge_key(a, b), 0) + m
+    return mult
+
+
 def equivalent(a: TopologySignature, b: TopologySignature) -> bool:
-    """Graph isomorphism respecting node kinds and edge multiplicities."""
-    return nx.is_isomorphic(
-        a.graph(), b.graph(), node_match=categorical_node_match("kind", None)
-    )
+    """Graph isomorphism respecting node kinds and edge multiplicities.
+
+    The boundary "B" maps to itself.  Only edge-carrying nodes are
+    relabelled; nodes without edges are matched by their kinds alone.
+    """
+    ea, eb = _edge_multiset(a), _edge_multiset(b)
+    na = sorted({n for key in ea for n in key if n != "B"})
+    nb = sorted({n for key in eb for n in key if n != "B"})
+    if (
+        sorted(a.nodes) != sorted(b.nodes)
+        or sorted(ea.values()) != sorted(eb.values())
+        or sorted(a.nodes[i] for i in na) != sorted(b.nodes[j] for j in nb)
+    ):
+        return False
+
+    def extend(m: dict) -> bool:
+        # m maps nodes of a to nodes of b; edges between mapped nodes must match
+        if any(
+            eb.get(_edge_key(m[x], m[y])) != c
+            for (x, y), c in ea.items()
+            if x in m and y in m
+        ):
+            return False
+        if len(m) > len(na):
+            return True
+        i = na[len(m) - 1]
+        return any(
+            extend({**m, i: j})
+            for j in nb
+            if b.nodes[j] == a.nodes[i] and j not in m.values()
+        )
+
+    return extend({"B": "B"})

@@ -29,6 +29,10 @@ class IndexResult:
 
 def _angle_steps(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Signed angle from vector i to vector i+1 along the last axis, in (-pi, pi]."""
+    # an exact power-of-two scale per row keeps the products below overflow;
+    # arctan2 is invariant under it
+    _, e = np.frexp(np.maximum(np.abs(u), np.abs(v)).max(axis=-1, keepdims=True))
+    u, v = np.ldexp(u, -e), np.ldexp(v, -e)
     un, vn = u[..., :-1], v[..., :-1]
     um, vm = u[..., 1:], v[..., 1:]
     return np.arctan2(un * vm - vn * um, un * um + vn * vm)

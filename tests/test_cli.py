@@ -86,6 +86,33 @@ def test_index_overflow_on_curve_exits_1(capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+# a center with field magnitude 1e200: angle and determinant products overflow
+# unless they are scaled first
+HUGE = "field big\nu 0 1 1e200\nv 1 0 -1e200\n"
+
+
+def test_index_of_huge_field(tmp_path, capsys):
+    path = tmp_path / "big.field"
+    path.write_text(HUGE)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(
+            capsys, "index", str(path), "--center", "0", "0", "--radius", "1"
+        )
+    assert code == 0
+    assert err == ""
+    assert out.splitlines()[0] == "index=1"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_classify_huge_field(tmp_path, capsys):
+    path = tmp_path / "big.field"
+    path.write_text(HUGE)
+    code, out, _ = run_cli(capsys, "classify", str(path))
+    assert code == 0
+    assert out == "x=0 y=0 kind=center index=1\n"
+
+
 def test_bifurcate_text_report(capsys):
     code, out, _ = run_cli(capsys, "bifurcate", SPLIT, "--point", "0", "0")
     assert code == 0

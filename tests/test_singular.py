@@ -13,7 +13,7 @@ from flowbif import (
     newton_polish,
     winding_index,
 )
-from flowbif.singular import CASE_INDEX, case_label, make_normal_form, with_options
+from flowbif.singular import CASE_INDEX, SearchOptions, case_label, make_normal_form
 
 from conftest import field
 
@@ -160,7 +160,7 @@ def test_find_separated_zeros():
 def test_budget_guard():
     with pytest.raises(BudgetExceededError):
         find_singular_points(
-            make_normal_form(1, 1, 1, 2, 3), BOX, with_options(max_cells=8)
+            make_normal_form(1, 1, 1, 2, 3), BOX, SearchOptions(max_cells=8)
         )
 
 

@@ -1,9 +1,18 @@
+import os
+import pathlib
+import subprocess
+import sys
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowbif import (
     FlowbifError,
     PolyVectorField,
+    TopologySignature,
     classify_point,
     equivalent,
     integrate_streamline,
@@ -200,7 +209,115 @@ def test_homoclinic_orbit_closes(center_split_family):
 
 def test_graph_boundary_node():
     sig = signature(field(*SADDLE), BOX)
-    g = sig.graph()
-    assert set(g.nodes) == {0, "B"}
-    assert g.nodes["B"]["kind"] == "boundary"
-    assert g.number_of_edges(0, "B") == 4
+    assert sig.nodes == ("saddle",)
+    assert sig.edges == ((0, "B", 4),)
+
+
+# ---------------------------------------------------------------------------
+# signature equivalence
+
+KINDS = ("saddle", "center", "degenerate", "unresolved")
+
+
+def sig(nodes, edges):
+    return TopologySignature(tuple(nodes), tuple(edges), 0, None)
+
+
+# two saddles joined twice, each also meeting the boundary twice, and a center
+TWO_SADDLES = sig(("saddle", "saddle", "center"), ((0, 1, 2), (0, "B", 2), (1, "B", 2)))
+
+
+@st.composite
+def signatures(draw):
+    n = draw(st.integers(0, 5))
+    nodes = tuple(draw(st.lists(st.sampled_from(KINDS), min_size=n, max_size=n)))
+    end = st.sampled_from([*range(n), "B"])
+    edges = draw(st.lists(st.tuples(end, end, st.integers(1, 3)), max_size=6))
+    return TopologySignature(nodes, tuple(edges), 0, None)
+
+
+def relabel(sig, perm, flip):
+    """The same graph with node i renamed perm[i] and edge ends maybe swapped."""
+    m = {**dict(enumerate(perm)), "B": "B"}
+    nodes = [""] * len(sig.nodes)
+    for i, kind in enumerate(sig.nodes):
+        nodes[perm[i]] = kind
+    edges = tuple(
+        (m[b], m[a], c) if flip else (m[a], m[b], c) for a, b, c in sig.edges
+    )
+    return TopologySignature(tuple(nodes), edges[::-1], sig.loops, sig.index_total)
+
+
+def nx_graph(nx, sig):
+    g = nx.MultiGraph()
+    for i, kind in enumerate(sig.nodes):
+        g.add_node(i, kind=kind)
+    g.add_node("B", kind="boundary")
+    for a, b, mult in sig.edges:
+        g.add_edges_from([(a, b)] * mult)
+    return g
+
+
+@given(signatures(), signatures(), st.data())
+@settings(max_examples=300)
+def test_equivalent_agrees_with_networkx(a, other, data):
+    nx = pytest.importorskip("networkx")
+    match = nx.algorithms.isomorphism.categorical_node_match("kind", None)
+    perm = data.draw(st.permutations(range(len(a.nodes))))
+    b = relabel(a, perm, data.draw(st.booleans()))
+    assert equivalent(a, b)
+    # same kinds and multiplicities as b, rearranged: only the matcher can tell
+    kinds = data.draw(st.permutations(b.nodes))
+    mults = data.draw(st.permutations([m for _, _, m in b.edges]))
+    rearranged = sig(kinds, [(x, y, m) for (x, y, _), m in zip(b.edges, mults)])
+    for c in (b, other, rearranged):
+        assert equivalent(a, c) == nx.is_isomorphic(
+            nx_graph(nx, a), nx_graph(nx, c), node_match=match
+        )
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # a changed multiplicity
+        (TWO_SADDLES, sig(TWO_SADDLES.nodes, ((0, 1, 3), (0, "B", 2), (1, "B", 2)))),
+        # a swapped kind: the center carries saddle 1's edges
+        (TWO_SADDLES, sig(("saddle", "center", "saddle"), TWO_SADDLES.edges)),
+        # a boundary edge turned into a saddle-saddle edge
+        (
+            TWO_SADDLES,
+            sig(TWO_SADDLES.nodes, ((0, 1, 2), (0, "B", 2), (1, "B", 1), (0, 1, 1))),
+        ),
+        # equal kind and multiplicity multisets, arranged differently
+        (
+            sig(("saddle", "center"), ((0, "B", 1), (1, "B", 2))),
+            sig(("saddle", "center"), ((0, "B", 2), (1, "B", 1))),
+        ),
+        (
+            sig(("saddle",) * 3, ((0, 1, 1), (1, 2, 2), (0, "B", 1))),
+            sig(("saddle",) * 3, ((0, 1, 2), (1, 2, 1), (0, "B", 1))),
+        ),
+    ],
+)
+def test_equivalent_rejects(a, b):
+    assert equivalent(a, a) and equivalent(b, b)
+    assert not equivalent(a, b)
+
+
+def test_equivalent_ignores_isolated_centers():
+    # isolated nodes are never permuted, so 20 centers cost nothing
+    a = TopologySignature(("saddle",) + ("center",) * 20, ((0, "B", 4),), 20, 1)
+    b = TopologySignature(
+        ("center",) * 10 + ("saddle",) + ("center",) * 10, ((10, "B", 4),), 20, 1
+    )
+    t0 = time.perf_counter()
+    assert equivalent(a, b)
+    assert not equivalent(a, TopologySignature(b.nodes, ((10, "B", 3),), 20, 1))
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_import_leaves_networkx_out():
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import flowbif, sys; assert 'networkx' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
