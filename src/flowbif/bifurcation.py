@@ -17,7 +17,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import AnalysisRefusal, InvalidCaseDataError, UnsupportedCaseError
+from .errors import (
+    AnalysisRefusal,
+    FlowbifError,
+    InvalidCaseDataError,
+    UnsupportedCaseError,
+)
 from .field import Frame, PolyVectorField, TimeFamily
 from .singular import (
     DEFAULT_SEARCH,
@@ -244,6 +249,9 @@ def _run_ladder(
     ladder,
 ) -> Verification:
     mags = sorted((abs(m) for m in (ladder or DEFAULT_LADDER)), reverse=True)
+    if len(mags) < 2:
+        # the verdict compares the two smallest rungs on each side
+        raise FlowbifError(f"eps ladder needs at least two values, got {len(mags)}")
     eps_list: list[float] = []
     for m in mags:
         eps_list.extend((m * eps_scale, -m * eps_scale))

@@ -80,6 +80,8 @@ class RunConfig:
         if not self.eps_scale > 0:
             raise _UsageError(f"eps-scale must be positive, got {self.eps_scale}")
         if self.ladder is not None:
+            if len(self.ladder) < 2:
+                raise _UsageError("eps ladder needs at least two values")
             if any(e == 0 for e in self.ladder):
                 raise _UsageError("eps ladder values must be nonzero")
             mags = [abs(e) for e in self.ladder]

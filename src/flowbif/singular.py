@@ -22,7 +22,8 @@ where a*b abbreviates alpha*beta.  Root finding uses recursive box
 subdivision: cells are discarded when a coefficient-level gradient bound
 proves a component nonzero, or when the boundary winding is reliably zero
 with no paired sign changes; surviving cells are refined to the finest
-level and polished with damped Newton.
+level and polished with damped Newton, and polished candidates within
+``_CLUSTER_RADIUS`` of each other are merged by single linkage into one zero.
 """
 
 from __future__ import annotations
@@ -371,22 +372,43 @@ def _sign_changes(a: np.ndarray) -> np.ndarray:
 
 
 def _cluster(cands: list[tuple[np.ndarray, float]], radius: float):
-    """Single-linkage grouping of (point, residual) candidates."""
-    clusters: list[list[tuple[np.ndarray, float]]] = []
-    for pt, res in sorted(cands, key=lambda c: (c[0][0], c[0][1], c[1])):
-        hits = [
-            cl
-            for cl in clusters
-            if any(float(np.hypot(*(pt - q))) <= radius for q, _ in cl)
-        ]
+    """Single-linkage grouping of (point, residual) candidates.
+
+    Two candidates are linked when ``hypot(dx, dy) <= radius``; the clusters
+    are the connected components of that graph, a partition that does not
+    depend on the order in which pairs are tested.  The sweep visits the
+    candidates in (x, y, residual) order and tests candidate i only against
+    the earlier ones whose x lies within 2*radius (found by binary search):
+    any candidate outside that window is more than radius away in x alone,
+    and the factor 2 keeps the rounding of ``x - 2*radius`` from cutting off
+    a link.  Each window is tested in one vectorised ``np.hypot`` on the same
+    differences as a pairwise test, so the links are the same floats.
+
+    A cluster is named by its first member in sweep order.  When candidate
+    i links several clusters, it is appended to the oldest and the others
+    follow, oldest first; clusters are returned oldest first.  Callers pick
+    a member by (residual, x, y), so this order decides only exact ties.
+    """
+    order = sorted(cands, key=lambda c: (c[0][0], c[0][1], c[1]))
+    xs = np.array([c[0][0] for c in order], dtype=float)
+    ys = np.array([c[0][1] for c in order], dtype=float)
+    starts = np.searchsorted(xs, xs - 2.0 * radius)
+    label = np.arange(len(order))  # each candidate's cluster, by first member
+    clusters: dict[int, list[int]] = {}
+    for i, lo in enumerate(starts.tolist()):
+        near = np.hypot(xs[i] - xs[lo:i], ys[i] - ys[lo:i]) <= radius
+        hits = sorted(set(label[lo:i][near].tolist()))
         if not hits:
-            clusters.append([(pt, res)])
-        else:
-            hits[0].append((pt, res))
-            for other in hits[1:]:
-                hits[0].extend(other)
-                clusters.remove(other)
-    return clusters
+            clusters[i] = [i]
+            continue
+        first = clusters[hits[0]]
+        first.append(i)
+        label[i] = hits[0]
+        for other in hits[1:]:
+            members = clusters.pop(other)
+            label[members] = hits[0]
+            first.extend(members)
+    return [[order[j] for j in members] for members in clusters.values()]
 
 
 def find_singular_points(

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowbif import (
+    FlowbifError,
     TimeFamily,
     UnsupportedCaseError,
     analyze,
@@ -181,6 +182,11 @@ def test_verify_errors_shrink_with_eps(center_split_family):
     assert len(carrying) == 3
     assert carrying[0] > carrying[1] > carrying[2]
     assert carrying[2] < 2e-4
+
+
+def test_single_rung_ladder_is_refused(saddle_split_family):
+    with pytest.raises(FlowbifError, match="at least two values"):
+        analyze(saddle_split_family, (0.0, 0.0), ladder=(1e-2,))
 
 
 def test_analyze_report_shape(saddle_split_family):

@@ -209,6 +209,15 @@ def test_bad_flags_exit_1(capsys):
     assert code == 1
 
 
+def test_single_rung_ladder_exits_1(capsys):
+    # the verdict compares the two smallest rungs on each side
+    argv = ("bifurcate", SPLIT, "--point", "0", "0", "--eps-ladder", "0.01")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "usage error" in err and "at least two values" in err
+
+
 def test_byte_identical_reruns(capsys):
     args = ("bifurcate", PERSIST, "--point", "0", "0", "--format", "csv")
     _, out1, _ = run_cli(capsys, *args)
@@ -250,6 +259,8 @@ def test_non_finite_flags_exit_1(capsys, argv):
 def test_runconfig_validates_ladder():
     with pytest.raises(_UsageError):
         RunConfig("bifurcate", path="x", ladder=(1e-3, 1e-2))
+    with pytest.raises(_UsageError):
+        RunConfig("bifurcate", path="x", ladder=(1e-2,))
     with pytest.raises(_UsageError):
         RunConfig("bifurcate", path="x", ladder=(1e-2, 0.0))
     cfg = RunConfig("bifurcate", path="x", ladder=(1e-2, 1e-3))

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,13 @@ from flowbif import (
     newton_polish,
     winding_index,
 )
-from flowbif.singular import CASE_INDEX, SearchOptions, case_label, make_normal_form
+from flowbif.singular import (
+    CASE_INDEX,
+    SearchOptions,
+    _cluster,
+    case_label,
+    make_normal_form,
+)
 
 from conftest import field
 
@@ -169,6 +177,120 @@ def test_cluster_radius_merges_near_roots(saddle_split_family):
     w = saddle_split_family.at_offset(1e-14)
     pts = find_singular_points(w, (-0.01, -0.01, 0.01, 0.01))
     assert len(pts) == 1  # merged: separation ~8e-8 < cluster radius
+
+
+
+# ---------------------------------------------------------------------------
+# candidate clustering
+
+
+def _linked(p, q, radius):
+    return float(np.hypot(*(p - q))) <= radius
+
+
+def _union_find_partition(cands, radius):
+    """All-pairs single linkage by union-find: the reference partition."""
+    parent = list(range(len(cands)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(cands)):
+        for j in range(i):
+            if _linked(cands[i][0], cands[j][0], radius):
+                parent[find(i)] = find(j)
+    groups: dict[int, set[int]] = {}
+    for i in range(len(cands)):
+        groups.setdefault(find(i), set()).add(i)
+    return sorted(sorted(g) for g in groups.values())
+
+
+def _pairwise_member_ids(cands, radius):
+    """All-pairs linkage, each merge into the oldest hit cluster: the reference member order."""
+    clusters = []
+    for c in sorted(cands, key=lambda c: (c[0][0], c[0][1], c[1])):
+        hits = [cl for cl in clusters if any(_linked(c[0], q, radius) for q, _ in cl)]
+        if not hits:
+            clusters.append([c])
+            continue
+        hits[0].append(c)
+        for other in hits[1:]:
+            hits[0].extend(other)
+        clusters = [cl for cl in clusters if not any(cl is o for o in hits[1:])]
+    return [[id(c[0]) for c in cl] for cl in clusters]
+
+
+def _chain(start, theta, spacing, m):
+    step = spacing * np.array([np.cos(theta), np.sin(theta)])
+    return [start + k * step for k in range(m)]
+
+
+@st.composite
+def _candidate_scenes(draw):
+    """Blobs, chains, pairs at exactly the radius, shared x, tied residuals."""
+    radius = draw(st.sampled_from([2.0**-20, 2.0**-10, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.sampled_from([3.0, 30.0])) * radius
+    residuals = [0.0, 1e-12, 1e-11]
+    pts = []
+    for _ in range(draw(st.integers(1, 6))):  # dense blobs
+        sigma = radius * draw(st.sampled_from([1e-2, 0.3, 1.0]))
+        centre = rng.uniform(-spread, spread, 2)
+        pts += list(centre + sigma * rng.standard_normal((draw(st.integers(1, 30)), 2)))
+    # chains that run mostly along x, across many 2*radius windows
+    theta = draw(st.floats(-0.3, 0.3))
+    near = _chain(rng.uniform(-spread, spread, 2), theta, 0.99 * radius, 40)
+    far = _chain(rng.uniform(-spread, spread, 2), theta, 1.01 * radius, 40)
+    # a pair exactly one radius apart in x, and a column of equal x
+    x, y = (float(v) for v in np.round(rng.uniform(-spread, spread, 2) / radius))
+    exact = [np.array([x * radius, y * radius]), np.array([(x + 1) * radius, y * radius])]
+    column = [np.array([x * radius, (y + k) * radius]) for k in range(-2, 3)]
+    pts += near + far + exact + column + [np.array([0.0, 0.0]), np.array([-0.0, 0.0])]
+    cands = [(p, residuals[int(rng.integers(3))]) for p in pts]
+    rng.shuffle(cands)
+    return cands, radius, near, far, exact
+
+
+@given(_candidate_scenes())
+@settings(max_examples=60)
+def test_cluster_matches_all_pairs_single_linkage(scene):
+    cands, radius, near, far, exact = scene
+    clusters = _cluster(cands, radius)
+    index = {id(p): i for i, (p, _) in enumerate(cands)}
+    found = sorted(sorted(index[id(p)] for p, _ in cl) for cl in clusters)
+    assert found == _union_find_partition(cands, radius)
+    # the same member order as the loop it replaced, so ties pick the same point
+    assert [[id(p) for p, _ in cl] for cl in clusters] == _pairwise_member_ids(cands, radius)
+
+    assert len(_cluster([(p, 0.0) for p in near], radius)) == 1
+    assert len(_cluster([(p, 0.0) for p in far], radius)) == len(far)
+    assert len(_cluster([(p, 0.0) for p in exact], radius)) == 1  # inclusive
+
+
+def test_cluster_merges_behind_an_equal_sized_cluster():
+    # s links q and r; the older singleton p has r's size, and removing r by
+    # list equality compared p's and r's arrays and raised ValueError
+    r = 1e-6
+    xy = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.6 * r), (1.0 + 0.5 * r, 0.8 * r))
+    p, q, rr, s = (np.array(v) for v in xy)
+    clusters = _cluster([(pt, 0.0) for pt in (p, q, rr, s)], r)
+    assert [[id(pt) for pt, _ in cl] for cl in clusters] == [[id(p)], [id(q), id(s), id(rr)]]
+
+
+def test_cluster_work_is_not_quadratic():
+    # 6,000 candidates in four tight blobs; an all-pairs loop takes tens of seconds
+    rng = np.random.default_rng(0)
+    cands = [
+        (np.array([1e-3 * b, 0.0]) + 1e-8 * rng.standard_normal(2), 1e-12)
+        for b in range(4)
+        for _ in range(1500)
+    ]
+    t0 = time.perf_counter()
+    clusters = _cluster(cands, 1e-6)
+    assert time.perf_counter() - t0 < 2.0
+    assert sorted(len(cl) for cl in clusters) == [1500] * 4
 
 
 @given(st.integers(0, 2**32 - 1))
