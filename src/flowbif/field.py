@@ -17,12 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeCapError
+from .errors import DegreeCapError, FlowbifError
 from .poly import Poly2
 
 # Recentering/rotation is refused above this total degree: binomial shift
 # error grows combinatorially and nothing in the analysis needs more.
 MAX_TRANSFORM_DEGREE = 16
+_DIVERGENCE_REL_TOL = 1e-12  # x the largest coefficient: no stream function above
 
 
 @dataclass(frozen=True)
@@ -69,12 +70,13 @@ class Frame:
 class PolyVectorField:
     """Vector field (u(x, y), v(x, y)) with polynomial components."""
 
-    __slots__ = ("u", "v", "_partials")
+    __slots__ = ("u", "v", "_partials", "_psi")
 
     def __init__(self, u: Poly2, v: Poly2) -> None:
         self.u = u if isinstance(u, Poly2) else Poly2(u)
         self.v = v if isinstance(v, Poly2) else Poly2(v)
         self._partials = None
+        self._psi = None
 
     # -- construction -------------------------------------------------
 
@@ -201,14 +203,24 @@ class PolyVectorField:
     def stream_function(self) -> Poly2:
         """Polynomial psi with (psi_y, -psi_x) = (u, v), psi(0, 0) = 0.
 
-        Only meaningful when the field is divergence-free; psi is constant
-        along orbits, which makes it a useful integration cross-check.
+        Orbits are the level curves of psi, and the streamline tracer follows
+        them.  Psi exists only for a divergence-free field: a divergence
+        violation above 1e-12 of the largest coefficient of u and v raises
+        ``FlowbifError``.  Built once per field.
         """
-        # psi(x, y) = int_0^y u(x, t) dt - int_0^x v(s, 0) ds
-        part1 = self.u.integrate_y()
-        v_row0 = Poly2(self.v.coef[:, :1])
-        part2 = v_row0.integrate_x()
-        return part1 - part2
+        if self._psi is None:
+            scale = max(self.u.max_abs_coef(), self.v.max_abs_coef())
+            report = self.check_divergence_free(_DIVERGENCE_REL_TOL * scale)
+            if not report.ok:
+                i, j = report.worst_term
+                raise FlowbifError(
+                    f"field is not divergence-free (violation "
+                    f"{report.worst_violation:.3g} at monomial x^{i} y^{j})"
+                )
+            # psi(x, y) = int_0^y u(x, t) dt - int_0^x v(s, 0) ds
+            v_row0 = Poly2(self.v.coef[:, :1])
+            self._psi = self.u.integrate_y() - v_row0.integrate_x()
+        return self._psi
 
     def gradient_bound(self, half_extent: float) -> tuple[float, float]:
         """Per-component bounds on |grad u|, |grad v| over max(|x|,|y|) <= half_extent."""

@@ -1,15 +1,20 @@
 """Streamline topology around singular points.
 
-Orbits of a divergence-free field are traced with an adaptive
-Dormand-Prince 4(5) integrator on the arc-length-normalized dynamics
-dx/ds = u/|u|.  A dynamic step cap of 0.5*|u|/Lambda (Lambda a gradient
-bound over the box) keeps steps from overshooting singular points, so a
-drop of |u| below the capture threshold is always observed.  The 7th
-stage of a step is evaluated at the accepted point and is reused as the
-next step's 1st (first same as last), so each accepted point has its
-field computed once.  The local structure is summarized as a graph:
-saddle nodes, center nodes, a boundary node, and separatrix edges; two
-fields are topologically equivalent here when those graphs are
+Every orbit of a divergence-free field lies on a level curve of its stream
+function psi, so an orbit is traced as the level curve psi = c through its
+seed (a separatrix: through its saddle) by predictor-corrector continuation
+(Allgower & Georg): a step of length h along the flow, then Newton steps
+along grad psi = (-v, u) back onto psi = c.  A step is taken again with h
+halved unless the corrector converges close to the prediction and the
+tangent turns little; h never exceeds half the distance to a known
+singular point the orbit has left, so it cannot jump over one, and a step
+that leaves the box is short, so the clipped exit vertex stays close to the
+curve.  A closed orbit is recognised when it crosses, with the flow, the
+line through its seed normal to the flow; psi is monotone along that line,
+so the crossing is the seed itself.  A field that is not divergence-free
+has no stream function and is refused.  The local structure is summarized
+as a graph: saddle nodes, center nodes, a boundary node, and separatrix
+edges; two fields are topologically equivalent here when those graphs are
 isomorphic respecting node kinds and edge multiplicities.
 """
 
@@ -24,36 +29,16 @@ from .field import PolyVectorField
 from .singular import DEFAULT_SEARCH, SearchOptions, SingularPoint, find_singular_points
 from .winding import index_sum
 
-# Dormand-Prince 4(5) tableau; row 7 equals the 5th-order weights, so the
-# 7th stage is evaluated at the accepted point.
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = _DP_A[6] + (0.0,)
-_DP_B4 = (
-    5179 / 57600,
-    0.0,
-    7571 / 16695,
-    393 / 640,
-    -92097 / 339200,
-    187 / 2100,
-    1 / 40,
-)
-
-
-# Tolerances, as fractions of the box size L / peak field magnitude.
-_ERR_TOL = 1e-9  # local truncation error per step (x max(1, L))
+# Tolerances, as fractions of the box size L / peak field magnitude / peak
+# |psi| on the box.
 _MAX_STEP_FRAC = 0.02
+_EXIT_STEP_FRAC = 1e-3  # longest step that may leave the box
+_LEVEL_FRAC = 1e-12  # corrector converged: |psi - c| below this x peak |psi|
 _CAPTURE_SPEED_FRAC = 1e-5  # |u| below this x peak => capture
 _CAPTURE_RADIUS_FRAC = 1e-5  # node attribution / near-miss radius
-_CLOSURE_FRAC = 1e-6
 _DELTA_FRAC = 1e-6  # separatrix launch offset
+_CORRECTOR_STEPS = 4
+_COS_MAX_TURN = float(np.cos(0.15))  # tangent turn allowed per step
 _MAX_STEPS = 100_000
 
 
@@ -62,7 +47,7 @@ class Orbit:
     """A traced streamline, stored flow-aligned.
 
     start_kind / end_kind: "seed", "node:<i>", "box-exit", "closed", or
-    "stalled".  Backward-integrated orbits are reversed before storage, so
+    "stalled".  Backward-traced orbits are reversed before storage, so
     the polyline always runs with the flow.
     """
 
@@ -76,126 +61,113 @@ class Orbit:
 class _Scales:
     L: float
     max_step: float
-    err_abs: float
+    level_tol: float
     capture_speed: float
     capture_radius: float
-    closure_tol: float
     delta: float
-    lam: float
 
 
-def _scales(field: PolyVectorField, box) -> _Scales:
+def _scales(field: PolyVectorField, psi, box) -> _Scales:
     x0, y0, x1, y1 = (float(b) for b in box)
     L = max(x1 - x0, y1 - y0)
-    xs = np.linspace(x0, x1, 25)
-    ys = np.linspace(y0, y1, 25)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    X, Y = np.meshgrid(np.linspace(x0, x1, 25), np.linspace(y0, y1, 25), indexing="ij")
     U, V = field.evaluate_many(X, Y)
-    peak = float(np.max(np.hypot(U, V)))
-    peak = max(peak, 1e-300)
-    half = max(abs(x0), abs(x1), abs(y0), abs(y1), 1e-12)
-    bu, bv = field.gradient_bound(half)
-    lam = max(float(np.hypot(bu, bv)), 1e-300)
+    peak = max(float(np.max(np.hypot(U, V))), 1e-300)
+    psi_peak = max(float(np.max(np.abs(psi(X, Y)))), 1e-300)
     return _Scales(
         L=L,
         max_step=_MAX_STEP_FRAC * L,
-        err_abs=_ERR_TOL * max(1.0, L),
+        level_tol=_LEVEL_FRAC * psi_peak,
         capture_speed=_CAPTURE_SPEED_FRAC * peak,
         capture_radius=_CAPTURE_RADIUS_FRAC * L,
-        closure_tol=_CLOSURE_FRAC * L,
         delta=_DELTA_FRAC * L,
-        lam=lam,
     )
 
 
-def _seg_point_dist(a: np.ndarray, b: np.ndarray, p) -> tuple[float, float]:
-    """(distance, t) from point p to segment a + t*(b-a), t clipped to [0,1]."""
+def _seg_point_dist(a: np.ndarray, b: np.ndarray, p) -> float:
+    """Distance from point p to the segment a->b."""
     d = b - a
     dd = float(d @ d)
-    if dd == 0.0:
-        return float(np.hypot(*(p - a))), 0.0
-    t = float(np.clip((p - a) @ d / dd, 0.0, 1.0))
-    q = a + t * d
-    return float(np.hypot(*(p - q))), t
+    t = 0.0 if dd == 0.0 else float(np.clip((p - a) @ d / dd, 0.0, 1.0))
+    return float(np.hypot(*(p - (a + t * d))))
 
 
-def _clip_to_box(a: np.ndarray, b: np.ndarray, box) -> np.ndarray:
-    """First intersection of segment a->b with the box boundary (b outside)."""
-    x0, y0, x1, y1 = box
-    t_best = 1.0
-    d = b - a
-    for lo, hi, i in ((x0, x1, 0), (y0, y1, 1)):
-        if d[i] != 0.0:
-            for edge in (lo, hi):
-                t = (edge - a[i]) / d[i]
-                if 0.0 <= t < t_best:
-                    q = a + t * d
-                    j = 1 - i
-                    if (x0, y0)[j] - 1e-12 <= q[j] <= (x1, y1)[j] + 1e-12:
-                        t_best = t
-    return a + t_best * d
+def _clip_to_box(a: np.ndarray, b: np.ndarray, lo, hi) -> np.ndarray:
+    """Where the segment a->b, from inside the box [lo, hi] to outside, leaves it."""
+    out = (b < lo) | (b > hi)
+    edge = np.where(b > hi, hi, lo)
+    t = min((edge[out] - a[out]) / (b[out] - a[out]))
+    return a + max(t, 0.0) * (b - a)
 
 
-def _trace(field, box, sc, nodes, seed, sign) -> tuple[np.ndarray, str, tuple[str, ...]]:
-    """Integrate dx/ds = sign*u/|u| from seed.
+def _correct(field, psi, q, level, tol):
+    """Newton steps along grad psi = (-v, u) from q onto psi = level.
 
-    Returns the points in integration order, the end kind and the flags.
+    Returns the point and the field there, or None if the corrector does
+    not converge in _CORRECTOR_STEPS steps.
     """
-
-    def rhs(p):
-        u = field(p)
+    for k in range(_CORRECTOR_STEPS + 1):
+        u = field(q)
+        r = float(psi(q[0], q[1])) - level
         speed = float(np.hypot(*u))
-        if speed < 1e-300:
-            return None, 0.0
-        return sign * u / speed, speed
+        if speed == 0.0:
+            return None
+        if abs(r) <= tol:
+            return q, u
+        if k < _CORRECTOR_STEPS:
+            q = q - (r / speed) * np.array([-u[1], u[0]]) / speed
+    return None
 
-    box = tuple(float(b) for b in box)
-    x0b, y0b, x1b, y1b = box
+
+def _trace(field, psi, level, box, sc, nodes, seed, sign) -> tuple[np.ndarray, str, tuple[str, ...]]:
+    """Follow the level curve psi = level from seed along sign*u.
+
+    Returns the points in tracing order, the end kind and the flags.
+    """
+    lo, hi = np.array(box[:2], dtype=float), np.array(box[2:], dtype=float)
     nodes = [np.asarray(n, dtype=float) for n in nodes]
     x = np.asarray(seed, dtype=float).reshape(2).copy()
-    k1, speed = rhs(x)
-    if k1 is None:
+    u = field(x)
+    speed = float(np.hypot(*u))
+    if speed < 1e-300:
         raise FlowbifError("seed lies on a singular point")
+    t = sign * u / speed
     pts = [x]
     flags: set[str] = set()
-    start, start_dir = x, k1
+    start, start_dir = x, t
     armed_speed = speed >= 2.0 * sc.capture_speed
-    closure_armed = False
     near_nodes: set[int] = set()
-    left_ball = [False] * len(nodes)
+    left_ball = [float(np.hypot(*(x - nd))) > 10.0 * sc.capture_radius for nd in nodes]
     h = sc.max_step
     end = "stalled"
     for _ in range(_MAX_STEPS):
-        h = min(h, sc.max_step, 0.5 * speed / sc.lam)
+        # a step never reaches past half the distance to a node the orbit has left
+        gaps = [float(np.hypot(*(x - nd))) for nd, left in zip(nodes, left_ball) if left]
+        h = min(h, sc.max_step, 0.5 * min(gaps, default=np.inf))
         if h < 1e-15 * sc.L:
             flags.add("step-floor")
             break
-        # stage 1 is the previous step's stage 7, evaluated at x
-        ks = [k1]
-        for row in _DP_A[1:]:
-            xi = x + h * sum(a * k for a, k in zip(row, ks) if a != 0.0)
-            ki, si = rhs(xi)
-            if ki is None:
-                break
-            ks.append(ki)
-        if ki is None:
+        pred = x + h * t
+        got = _correct(field, psi, pred, level, sc.level_tol)
+        if got is None:
             h *= 0.5
             continue
-        # row 7 of _DP_A is _DP_B5, so the last stage point is the 5th-order update
-        x_new = xi
-        err = h * float(
-            np.hypot(
-                *sum((b5 - b4) * k for b5, b4, k in zip(_DP_B5, _DP_B4, ks))
-            )
-        )
-        en = err / sc.err_abs
-        if en > 1.0:
-            h *= max(0.2, 0.9 * en ** -0.2)
+        x_new, u = got
+        speed = float(np.hypot(*u))
+        t_new = sign * u / speed
+        if (
+            float(np.hypot(*(x_new - pred))) > 0.1 * h
+            or float(t_new @ t) < _COS_MAX_TURN
+        ):
+            h *= 0.5
             continue
 
-        # box exit
-        if not (x0b <= x_new[0] <= x1b and y0b <= x_new[1] <= y1b):
-            pts.append(_clip_to_box(x, x_new, box))
+        # box exit, on a short step: the exit vertex is clipped on its chord
+        if not np.all((lo <= x_new) & (x_new <= hi)):
+            if h > _EXIT_STEP_FRAC * sc.L:
+                h *= 0.5
+                continue
+            pts.append(_clip_to_box(x, x_new, lo, hi))
             end = "box-exit"
             break
 
@@ -203,31 +175,28 @@ def _trace(field, box, sc, nodes, seed, sign) -> tuple[np.ndarray, str, tuple[st
         # only re-entries count, so launch segments next to their own
         # node stay silent
         for j, nd in enumerate(nodes):
-            d, _ = _seg_point_dist(x, x_new, nd)
+            d = _seg_point_dist(x, x_new, nd)
             if d > 10.0 * sc.capture_radius:
                 left_ball[j] = True
             elif left_ball[j]:
                 near_nodes.add(j)
 
-        # closure: segment passing the start point again, same direction
-        dseg, t = _seg_point_dist(x, x_new, start)
-        step_dir = (x_new - x) / max(float(np.hypot(*(x_new - x))), 1e-300)
-        if (
-            closure_armed
-            and dseg < sc.closure_tol
-            and float(step_dir @ start_dir) > 0.5
-        ):
-            pts.append(x + t * (x_new - x))
-            end = "closed"
-            break
-        if float(np.hypot(*(x_new - start))) > 50.0 * sc.closure_tol:
-            closure_armed = True
+        # closure: the step crosses, with the flow, the section through the
+        # start normal to the flow; psi is monotone along that section, so
+        # the level curve crosses it at the start itself
+        a = float((x - start) @ start_dir)
+        b = float((x_new - start) @ start_dir)
+        if a < 0.0 <= b:
+            cross = x + (a / (a - b)) * (x_new - x)
+            if float(np.hypot(*(cross - start))) <= float(np.hypot(*(x_new - x))):
+                pts.append(start.copy())
+                end = "closed"
+                break
 
-        k1, speed = ki, si
+        pts.append(x_new)
+        x, t = x_new, t_new
         if speed >= 2.0 * sc.capture_speed:
             armed_speed = True
-        pts.append(x_new)
-        x = x_new
         if armed_speed and speed < sc.capture_speed:
             # nearest node, the first one on a tie, within 100 capture radii
             j = min(
@@ -240,7 +209,7 @@ def _trace(field, box, sc, nodes, seed, sign) -> tuple[np.ndarray, str, tuple[st
             else:
                 end = f"node:{j}"
             break
-        h *= min(5.0, max(0.2, 0.9 * max(en, 1e-12) ** -0.2))
+        h *= 2.0
     else:
         raise StepLimitError(
             f"orbit exceeded {_MAX_STEPS} steps",
@@ -279,8 +248,12 @@ def integrate_streamline(
     x0, y0, x1, y1 = (float(b) for b in box)
     if not (x0 <= sx <= x1 and y0 <= sy <= y1):
         raise FlowbifError(f"seed ({sx:g}, {sy:g}) lies outside the box")
-    sc = _scales(field, box)
-    pts, end, flags = _trace(field, box, sc, nodes, seed, -1.0 if backward else 1.0)
+    psi = field.stream_function()
+    sc = _scales(field, psi, box)
+    level = float(psi(sx, sy))
+    pts, end, flags = _trace(
+        field, psi, level, box, sc, nodes, (sx, sy), -1.0 if backward else 1.0
+    )
     return _flow_aligned(pts, end, flags, backward, "seed")
 
 
@@ -295,9 +268,10 @@ def separatrices(
     """The four separatrix orbits of a nondegenerate saddle.
 
     Unstable pair launched forward, stable pair backward, each offset by
-    delta along the eigenvector; around the saddle the four launch
-    directions alternate stable/unstable.  Orbits are flow-aligned: the
-    stable pair ends at the saddle.
+    delta along the eigenvector and traced on the level psi(saddle), which
+    grad psi = 0 makes insensitive to the saddle's location error; around
+    the saddle the four launch directions alternate stable/unstable.
+    Orbits are flow-aligned: the stable pair ends at the saddle.
     """
     jac = saddle.jac
     det = float(np.linalg.det(jac))
@@ -310,8 +284,10 @@ def separatrices(
     v_unstable = vecs[:, iu] / np.hypot(*vecs[:, iu])
     v_stable = vecs[:, 1 - iu] / np.hypot(*vecs[:, 1 - iu])
 
-    sc = _scales(field, box)
+    psi = field.stream_function()
+    sc = _scales(field, psi, box)
     loc = np.asarray(saddle.location, dtype=float)
+    level = float(psi(loc[0], loc[1]))
     tag = "node:?" if self_index is None else f"node:{self_index}"
 
     launches = []
@@ -333,7 +309,7 @@ def separatrices(
     for seed, stable in launches:
         try:
             pts, end, flags = _trace(
-                field, box, sc, nodes, seed, -1.0 if stable else 1.0
+                field, psi, level, box, sc, nodes, seed, -1.0 if stable else 1.0
             )
         except StepLimitError as exc:
             pts, end, flags = exc.orbit.points, "stalled", exc.orbit.flags
@@ -375,6 +351,7 @@ def _build_signature(
     box,
     search_opts: SearchOptions,
 ) -> tuple[TopologySignature, list[SingularPoint], list[Orbit]]:
+    field.stream_function()  # refuse a field without one before searching
     points = find_singular_points(field, box, search_opts)
     kinds = tuple(pt.kind for pt in points)
     positions = [pt.location for pt in points]

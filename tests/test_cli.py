@@ -176,6 +176,39 @@ def test_trace_seed_outside_box_exits_1(capsys):
     assert err.startswith("error: ") and "outside the box" in err
 
 
+def test_trace_closes_at_its_seed(capsys):
+    code, out, _ = run_cli(capsys, "trace", str(GALLERY / "s6.field"), "--seed", "0.3", "0.2")
+    assert code == 0
+    head, ends = out.splitlines()
+    assert "end=closed" in head
+    # closure does not wait for a short step that passes close to the seed
+    assert int(head.split("vertices=")[1]) < 1000
+    assert ends == "first=(0.3, 0.2) last=(0.3, 0.2)"
+
+
+# u = (x + 0.1, y): a source, which has no stream function to trace
+SOURCE = "field source\nu 1 0 1\nu 0 0 0.1\nv 0 1 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("trace", "--seed", "0.3", "0.2"),
+        ("signature",),
+        ("render", "--out", "portrait.svg"),
+    ],
+)
+def test_tracing_refuses_non_divergence_free_field(tmp_path, capsys, argv):
+    path = tmp_path / "source.field"
+    path.write_text(SOURCE)
+    argv = [a if a != "portrait.svg" else str(tmp_path / a) for a in argv]
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert "error: field is not divergence-free" in err
+    assert not (tmp_path / "portrait.svg").exists()
+
+
 def test_signature_output(capsys):
     code, out, _ = run_cli(capsys, "signature", S4, *BOX)
     assert code == 0

@@ -6,17 +6,24 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flowbif import (
     FlowbifError,
+    Poly2,
     PolyVectorField,
+    TimeFamily,
     TopologySignature,
+    branch_asymptotics,
     classify_point,
+    decide,
     equivalent,
+    extract_degeneracy,
+    extract_perturbation,
     integrate_streamline,
     separatrices,
+    separatrix_portrait,
     signature,
 )
 from flowbif.singular import make_normal_form
@@ -84,6 +91,19 @@ def test_orbit_segments_tangent_to_field():
     assert worst < 5.0
 
 
+def test_step_never_jumps_a_known_node():
+    # on the S4 normal form psi = 0 on the parabola y = a x^2, and the flow
+    # runs along +x on both sides of the zero, so a long step would carry the
+    # orbit across the zero and on to the box edge
+    f = make_normal_form(1, 1, 1, 2, 3)
+    a = np.sqrt(1.5) - 1.0
+    for x in np.linspace(-1.9, -0.1, 19):
+        orbit = integrate_streamline(f, (x, a * x * x), (-2, -2, 2, 2), nodes=[(0.0, 0.0)])
+        assert orbit.end_kind != "box-exit", x
+        last = orbit.points[-1]
+        assert last[0] < 0.0 and np.hypot(*last) < 0.05
+
+
 def test_seed_must_lie_in_box():
     f = field(*SADDLE)
     with pytest.raises(FlowbifError, match="outside the box"):
@@ -100,8 +120,8 @@ def test_seed_on_zero_is_an_error():
 
 
 def test_each_accepted_point_evaluated_once(monkeypatch):
-    # Dormand-Prince: 6 new stages per accepted step when stage 7 (at the
-    # accepted point) is reused as the next stage 1, 8 without the reuse
+    # the field at an accepted point is the corrector's last evaluation and
+    # gives the next predictor direction; it is not evaluated again
     calls = []
     call = PolyVectorField.__call__
 
@@ -114,6 +134,55 @@ def test_each_accepted_point_evaluated_once(monkeypatch):
     orbit = integrate_streamline(f, (0.3, 0.2), BOX)
     assert len(orbit.points) > 10
     assert len(calls) < 7 * len(orbit.points)
+
+
+# u = (x + 0.1, y): a source, so no stream function exists
+SOURCE = {(1, 0): 1.0, (0, 0): 0.1}, {(0, 1): 1.0}
+
+
+def test_field_without_stream_function_is_refused():
+    f = field(*SOURCE)
+    with pytest.raises(FlowbifError, match="not divergence-free"):
+        integrate_streamline(f, (0.3, 0.2), BOX)
+    with pytest.raises(FlowbifError, match=r"violation 2 at monomial x\^0 y\^0"):
+        signature(f, BOX)
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e-6])
+def test_refusal_is_scale_free(scale):
+    orbit = integrate_streamline(make_normal_form(1, 1, 1, 2, 3) * scale, (0.3, 0.2), BOX)
+    assert orbit.end_kind == "box-exit"
+
+
+@st.composite
+def stream_fields(draw):
+    """A random stream function of degree <= 5 and a seed away from zeros."""
+    deg = draw(st.integers(1, 5))
+    coef = np.zeros((deg + 1, deg + 1))
+    for i in range(deg + 1):
+        for j in range(deg + 1 - i):
+            if i + j:  # a constant would only add rounding to psi's values
+                coef[i, j] = draw(st.floats(-1.0, 1.0).filter(lambda c: abs(c) > 1e-6 or not c))
+    psi = Poly2(coef)
+    f = PolyVectorField.from_stream(psi)
+    seed = np.array([draw(st.floats(-0.95, 0.95)) for _ in range(2)])
+    grid = np.linspace(-1.0, 1.0, 25)
+    X, Y = np.meshgrid(grid, grid)
+    U, V = f.evaluate_many(X, Y)
+    assume(np.hypot(*f(seed)) > 1e-2 * np.max(np.hypot(U, V)))
+    return psi, f, seed, float(np.ptp(psi(X, Y)))
+
+
+@given(stream_fields(), st.booleans())
+@settings(max_examples=60)
+def test_orbit_stays_on_its_stream_function_level(drawn, backward):
+    psi, f, seed, psi_range = drawn
+    orbit = integrate_streamline(f, seed, BOX, backward=backward)
+    drift = np.abs(psi(orbit.points[:, 0], orbit.points[:, 1]) - psi(*seed))
+    # the box-exit vertex is clipped by linear interpolation
+    exits = [i for i, kind in ((0, orbit.start_kind), (-1, orbit.end_kind)) if kind == "box-exit"]
+    assert np.max(np.delete(drift, exits)) <= 1e-9 * psi_range
+    assert np.max(drift) <= 1e-3 * psi_range
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +274,22 @@ def test_homoclinic_orbit_closes(center_split_family):
         w, (0.02, 0.0), (-0.4, -0.4, 0.4, 0.4), nodes=[np.array([0.0, 0.0])]
     )
     assert orbit.end_kind == "closed"
+
+
+def test_k3n7_portrait_work():
+    # criterion 9's k3n7 family: |u| is far below a gradient bound times the
+    # distance near its flat saddles, so steps sized by such a bound are tiny
+    fam = TimeFamily(make_normal_form(1, 1, 1, 3, 7), field({}, {(1, 0): 1.0}))
+    d = extract_degeneracy(fam.base, (0.0, 0.0))
+    p = extract_perturbation(fam.accel, d.frame)
+    h = 10.0 * branch_asymptotics(d, p).x_magnitude(1e-3)
+    box = (-h, -h, h, h)
+    sig, _, orbits = separatrix_portrait(fam.at_offset(-1e-3), box)
+    assert sum(len(o.points) for o in orbits) < 2000
+    assert sig.nodes == ("saddle",) and sig.edges == ((0, "B", 4),)
+    other = signature(fam.at_offset(1e-3), box)
+    assert decide(d, p) != "no-bifurcation"
+    assert not equivalent(sig, other)
 
 
 def test_graph_boundary_node():
