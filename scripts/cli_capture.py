@@ -32,6 +32,8 @@ S4 = "{g}/s4.field"
 SPLIT = "{g}/saddle_split.family"
 LADDER = ("bifurcate", SPLIT, "--point", "0", "0", "--eps-ladder")
 
+DEG18 = "u 0 1 1\nu 3 0 1\nu 10 8 0.09\nv 2 1 -3\nv 3 0 -1\nv 9 9 -0.1\n"
+
 # written to OUTDIR/inputs before the run
 INPUTS = {
     # u = (x + 0.1, y): a source, not divergence-free
@@ -39,6 +41,9 @@ INPUTS = {
     # a center of magnitude 1e200
     "big.field": "field big\nu 0 1 1e200\nv 1 0 -1e200\n",
     "missing_u1.family": "t0 0\nfield u0\nu 0 1 1\nv 1 0 1\n",
+    # S3 plus the stream-function term 0.01 x^10 y^9: a field of degree 18
+    "deg18.field": "field deg18\n" + DEG18,
+    "deg18.family": "t0 0\nfield u0\n" + DEG18 + "field u1\nv 1 0 1\n",
 }
 
 COMMANDS = (
@@ -109,6 +114,9 @@ COMMANDS = (
         (*LADDER, "0.01", "--format", "csv"),
         (*LADDER, "0.01", "0"),
         ("classify", S4, "--format", "json"),
+        # degree 18
+        ("classify", "{out}/inputs/deg18.field"),
+        ("bifurcate", "{out}/inputs/deg18.family", "--point", "0", "0", "--no-verify"),
     ]
 )
 

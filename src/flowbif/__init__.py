@@ -26,7 +26,6 @@ from .errors import (
     AnalysisRefusal,
     BudgetExceededError,
     CurveZeroError,
-    DegreeCapError,
     FieldFileError,
     FlowbifError,
     InvalidCaseDataError,
@@ -76,7 +75,6 @@ __all__ = [
     "BudgetExceededError",
     "CurveZeroError",
     "DegeneracyData",
-    "DegreeCapError",
     "FieldFileError",
     "FlowbifError",
     "Frame",

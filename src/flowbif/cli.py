@@ -166,6 +166,7 @@ def _classify_row(pt) -> dict:
 
 def _run_classify(cfg: RunConfig) -> int:
     field = _need_field(cfg)
+    field.stream_function()  # refuse a field without one before searching
     points = find_singular_points(field, cfg.box, _search_opts(cfg))
     rows = [_classify_row(pt) for pt in points]
     cols = ["x", "y", "kind", "index", "case", "alpha", "beta", "lam", "k", "n"]

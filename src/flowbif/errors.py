@@ -19,10 +19,6 @@ class FieldFileError(FlowbifError):
         super().__init__(message)
 
 
-class DegreeCapError(FlowbifError):
-    """Polynomial degree exceeds the supported cap for a transform."""
-
-
 class CurveZeroError(FlowbifError):
     """Field vanishes (numerically) on the curve a winding number needs."""
 

@@ -17,12 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeCapError, FlowbifError
+from .errors import FlowbifError
 from .poly import Poly2
 
-# Recentering/rotation is refused above this total degree: binomial shift
-# error grows combinatorially and nothing in the analysis needs more.
-MAX_TRANSFORM_DEGREE = 16
 _DIVERGENCE_REL_TOL = 1e-12  # x the largest coefficient: no stream function above
 
 
@@ -135,7 +132,7 @@ class PolyVectorField:
 
     def check_antisymmetric(self, center=(0.0, 0.0), tol: float = 1e-12) -> bool:
         """True iff u(c - x) = -u(c + x): only odd total-degree terms about the center."""
-        f = self.recentered(center)
+        f = self.in_frame(Frame(center, (1.0, 0.0), (0.0, 1.0)))
         for comp in (f.u, f.v):
             for (i, j), val in np.ndenumerate(comp.coef):
                 if (i + j) % 2 == 0 and abs(val) > tol:
@@ -145,7 +142,7 @@ class PolyVectorField:
     def check_reflectional(self, axis_origin=(0.0, 0.0), tol: float = 1e-12) -> bool:
         """Mirror symmetry about the vertical axis through ``axis_origin``:
         u even in x, v odd in x (after recentering)."""
-        f = self.recentered(axis_origin)
+        f = self.in_frame(Frame(axis_origin, (1.0, 0.0), (0.0, 1.0)))
         for (i, _), val in np.ndenumerate(f.u.coef):
             if i % 2 == 1 and abs(val) > tol:
                 return False
@@ -156,30 +153,17 @@ class PolyVectorField:
 
     # -- transforms ---------------------------------------------------
 
-    def _check_degree_cap(self):
-        if self.max_degree > MAX_TRANSFORM_DEGREE:
-            raise DegreeCapError(
-                f"field degree {self.max_degree} exceeds transform cap {MAX_TRANSFORM_DEGREE}"
-            )
-
-    def recentered(self, origin) -> "PolyVectorField":
-        """Components re-expanded about ``origin`` (no rotation)."""
-        self._check_degree_cap()
-        x0, y0 = float(origin[0]), float(origin[1])
-        return PolyVectorField(self.u.shift(x0, y0), self.v.shift(x0, y0))
-
     def in_frame(self, frame: Frame) -> "PolyVectorField":
         """Express the field in frame coordinates: w(xi) = R^T u(origin + R xi).
 
         Orthogonal conjugation, so divergence-freeness and Jacobian
         determinants at corresponding points are preserved.
         """
-        self._check_degree_cap()
         r = frame.rot
-        shifted_u = self.u.shift(frame.origin[0], frame.origin[1]).compose_linear(r)
-        shifted_v = self.v.shift(frame.origin[0], frame.origin[1]).compose_linear(r)
-        w1 = r[0, 0] * shifted_u + r[1, 0] * shifted_v
-        w2 = r[0, 1] * shifted_u + r[1, 1] * shifted_v
+        moved_u = self.u.compose_affine(frame.origin, r)
+        moved_v = self.v.compose_affine(frame.origin, r)
+        w1 = r[0, 0] * moved_u + r[1, 0] * moved_v
+        w2 = r[0, 1] * moved_u + r[1, 1] * moved_v
         return PolyVectorField(w1, w2)
 
     # -- algebra ------------------------------------------------------

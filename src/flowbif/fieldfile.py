@@ -22,8 +22,8 @@ from .errors import FieldFileError
 from .field import PolyVectorField, TimeFamily
 from .poly import Poly2
 
-# monomial-degree guard: parse would accept anything, but downstream frame
-# transforms cap out long before this
+# monomial-degree guard on input: nothing downstream caps the degree, but
+# frame transforms re-expand every coefficient, so refuse absurd files early
 _MAX_DEGREE = 64
 
 

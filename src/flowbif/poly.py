@@ -7,8 +7,6 @@ hold to rounding error and searches can use rigorous coefficient bounds.
 
 from __future__ import annotations
 
-from math import comb
-
 import numpy as np
 from numpy.polynomial import polynomial as _npoly
 
@@ -171,37 +169,23 @@ class Poly2:
 
     # -- changes of variables -----------------------------------------
 
-    def shift(self, x0: float, y0: float) -> "Poly2":
-        """p(x + x0, y + y0) via binomial expansion."""
-        c = self.coef
-        ni, nj = c.shape
-        sx = np.zeros((ni, ni))
-        for a in range(ni):
-            for i in range(a, ni):
-                sx[a, i] = comb(i, a) * x0 ** (i - a)
-        sy = np.zeros((nj, nj))
-        for b in range(nj):
-            for j in range(b, nj):
-                sy[b, j] = comb(j, b) * y0 ** (j - b)
-        return Poly2(sx @ c @ sy.T)
+    def compose_affine(self, origin, m) -> "Poly2":
+        """p(origin + m @ (x, y)) for a point origin and a 2x2 matrix m.
 
-    def compose_linear(self, m) -> "Poly2":
-        """p(m00*x + m01*y, m10*x + m11*y) for a 2x2 matrix m."""
+        Horner's rule, in x over the rows and in y along each row, with the
+        three-term affine factor on the left of each product so that
+        ``__mul__`` loops over its three terms only.
+        """
         m = np.asarray(m, dtype=float)
-        c = self.coef
-        ni, nj = c.shape
-        lin1 = Poly2([[0.0, m[0, 1]], [m[0, 0], 0.0]])
-        lin2 = Poly2([[0.0, m[1, 1]], [m[1, 0], 0.0]])
-        pow1 = [Poly2([[1.0]])]
-        for _ in range(ni - 1):
-            pow1.append(pow1[-1] * lin1)
-        pow2 = [Poly2([[1.0]])]
-        for _ in range(nj - 1):
-            pow2.append(pow2[-1] * lin2)
+        x0, y0 = float(origin[0]), float(origin[1])
+        X = Poly2([[x0, m[0, 1]], [m[0, 0], 0.0]])
+        Y = Poly2([[y0, m[1, 1]], [m[1, 0], 0.0]])
         out = Poly2.zero()
-        for (i, j), val in np.ndenumerate(c):
-            if val != 0.0:
-                out = out + val * (pow1[i] * pow2[j])
+        for row in reversed(self._rows):
+            r = Poly2.zero()
+            for c in reversed(row):
+                r = Y * r + c
+            out = X * out + r
         return out
 
     # -- bounds -------------------------------------------------------

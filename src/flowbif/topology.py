@@ -194,7 +194,7 @@ def _trace(field, psi, level, box, sc, nodes, seed, sign) -> tuple[np.ndarray, s
                 break
 
         pts.append(x_new)
-        x, t = x_new, t_new
+        x_old, x, t = x, x_new, t_new
         if speed >= 2.0 * sc.capture_speed:
             armed_speed = True
         if armed_speed and speed < sc.capture_speed:
@@ -204,11 +204,16 @@ def _trace(field, psi, level, box, sc, nodes, seed, sign) -> tuple[np.ndarray, s
                 key=lambda i: float(np.hypot(*(x - nodes[i]))),
                 default=None,
             )
-            if j is None or float(np.hypot(*(x - nodes[j]))) > 100.0 * sc.capture_radius:
-                flags.add("capture-without-node")
-            else:
+            gap = np.inf if j is None else float(np.hypot(*(x - nodes[j])))
+            if gap <= 100.0 * sc.capture_radius:
                 end = f"node:{j}"
-            break
+                break
+            # keep stepping while a slow orbit still closes on a node it has
+            # left (speed ~ gap^k at a degenerate zero): the half-gap step
+            # cap walks it into the ball
+            if j is None or not left_ball[j] or gap >= float(np.hypot(*(x_old - nodes[j]))):
+                flags.add("capture-without-node")
+                break
         h *= 2.0
     else:
         raise StepLimitError(
@@ -346,11 +351,12 @@ def _edge_key(a, b) -> tuple:
     return tuple(sorted((a, b), key=_edge_order))
 
 
-def _build_signature(
+def separatrix_portrait(
     field: PolyVectorField,
     box,
-    search_opts: SearchOptions,
+    search_opts: SearchOptions = DEFAULT_SEARCH,
 ) -> tuple[TopologySignature, list[SingularPoint], list[Orbit]]:
+    """Signature together with the singular points and traced separatrices."""
     field.stream_function()  # refuse a field without one before searching
     points = find_singular_points(field, box, search_opts)
     kinds = tuple(pt.kind for pt in points)
@@ -423,17 +429,7 @@ def signature(
     search_opts: SearchOptions = DEFAULT_SEARCH,
 ) -> TopologySignature:
     """Separatrix graph of the field restricted to the box."""
-    sig, _, _ = _build_signature(field, box, search_opts)
-    return sig
-
-
-def separatrix_portrait(
-    field: PolyVectorField,
-    box,
-    search_opts: SearchOptions = DEFAULT_SEARCH,
-) -> tuple[TopologySignature, list[SingularPoint], list[Orbit]]:
-    """Signature together with the singular points and traced separatrices."""
-    return _build_signature(field, box, search_opts)
+    return separatrix_portrait(field, box, search_opts)[0]
 
 
 def _edge_multiset(sig: TopologySignature) -> dict[tuple, int]:

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from flowbif import (
     FlowbifError,
+    Poly2,
+    PolyVectorField,
     TimeFamily,
     UnsupportedCaseError,
     analyze,
@@ -15,6 +17,7 @@ from flowbif import (
     decide,
     extract_degeneracy,
     extract_perturbation,
+    find_singular_points,
     verify,
 )
 from flowbif.bifurcation import genericity_value
@@ -264,3 +267,20 @@ def test_symmetry_forces_lambda0_zero():
         d = extract_degeneracy(fam.base, (0.0, 0.0))
         p = extract_perturbation(fam.accel, d.frame)
         assert p.lambda0 == 0.0
+
+
+def test_degree_18_field_is_analysed():
+    # S3 plus a degree-18 stream-function term: frames are built at any degree
+    base = make_normal_form(1, -1, 1, 3, 3) + PolyVectorField.from_stream(
+        Poly2.from_terms({(10, 9): 0.01})
+    )
+    assert base.max_degree == 18
+    at_origin = [
+        pt for pt in find_singular_points(base, (-1.0, -1.0, 1.0, 1.0))
+        if np.hypot(*pt.location) < 1e-9
+    ]
+    assert len(at_origin) == 1
+    assert at_origin[0].degeneracy.case_label == "S3"
+    family = TimeFamily(base, field({}, {(1, 0): 1.0}))
+    report = analyze(family, (0.0, 0.0), run_verification=False)
+    assert report.decision == "center-split"

@@ -186,7 +186,7 @@ def test_trace_closes_at_its_seed(capsys):
     assert ends == "first=(0.3, 0.2) last=(0.3, 0.2)"
 
 
-# u = (x + 0.1, y): a source, which has no stream function to trace
+# u = (x + 0.1, y): a source, which has no stream function
 SOURCE = "field source\nu 1 0 1\nu 0 0 0.1\nv 0 1 1\n"
 
 
@@ -196,6 +196,7 @@ SOURCE = "field source\nu 1 0 1\nu 0 0 0.1\nv 0 1 1\n"
         ("trace", "--seed", "0.3", "0.2"),
         ("signature",),
         ("render", "--out", "portrait.svg"),
+        ("classify",),
     ],
 )
 def test_tracing_refuses_non_divergence_free_field(tmp_path, capsys, argv):

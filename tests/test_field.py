@@ -64,7 +64,8 @@ def test_antisymmetric_examples():
 
 def test_antisymmetric_off_center():
     f = field({(0, 1): 1.0, (3, 0): 1.0}, {(3, 0): 1.0, (2, 1): -3.0})
-    shifted = f.recentered((0.5, -0.25))  # zero/symmetry now at (-0.5, 0.25)? no: terms move
+    # re-expanded about (0.5, -0.25): the symmetry centre moves to (-0.5, 0.25)
+    shifted = f.in_frame(Frame((0.5, -0.25), (1.0, 0.0), (0.0, 1.0)))
     assert shifted.check_antisymmetric((-0.5, 0.25))
     assert not shifted.check_antisymmetric((0.0, 0.0))
 

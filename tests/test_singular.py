@@ -99,7 +99,7 @@ def test_case_label_rotation_invariant(theta, label, ox, oy):
 
 
 def test_extract_degeneracy_off_origin():
-    f = make_normal_form(1, 1, 1, 2, 3).recentered((-0.4, 0.3))
+    f = make_normal_form(1, 1, 1, 2, 3).in_frame(Frame((-0.4, 0.3), (1.0, 0.0), (0.0, 1.0)))
     d = extract_degeneracy(f, (0.4, -0.3))
     assert d.case_label == "S4"
 

@@ -65,6 +65,16 @@ def test_orbit_ends_at_node_capture():
     assert orbit.end_kind == "node:0"
 
 
+def test_slow_approach_to_degenerate_zero_is_captured():
+    # on the psi = 0 parabola of S4 the speed falls like distance^2, so it
+    # drops below the capture speed far outside the attribution ball
+    a = np.sqrt(1.5) - 1.0
+    f = make_normal_form(1, 1, 1, 2, 3)
+    orbit = integrate_streamline(f, (-0.5, a * 0.25), BOX, nodes=[(0.0, 0.0)])
+    assert orbit.end_kind == "node:0"
+    assert orbit.flags == ()
+
+
 def test_backward_orbit_is_flow_aligned():
     orbit = integrate_streamline(field(*SADDLE), (0.1, 0.4), BOX, backward=True)
     # stored with the flow: the seed is now the final vertex
