@@ -23,7 +23,9 @@ import warnings
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from flowbif import Frame, field_to_text  # noqa: E402
 from flowbif.cli import main  # noqa: E402
+from flowbif.singular import make_normal_form  # noqa: E402
 
 FIELDS = ("s1", "s2", "s3", "s4", "s5", "s6", "s7")
 FAMILIES = ("center_split", "persistent_root", "quartic_split", "saddle_split", "slow_split")
@@ -33,6 +35,15 @@ SPLIT = "{g}/saddle_split.family"
 LADDER = ("bifurcate", SPLIT, "--point", "0", "0", "--eps-ladder")
 
 DEG18 = "u 0 1 1\nu 3 0 1\nu 10 8 0.09\nv 2 1 -3\nv 3 0 -1\nv 9 9 -0.1\n"
+
+
+def _moved_s2() -> str:
+    """1e-3 * R f(R^T (p - o)) for the S2 normal form f, angle 1 rad and o = (0.3, -0.2)."""
+    rot = Frame.rotation((0.0, 0.0), 1.0).rot
+    origin = -rot.T @ (0.3, -0.2)
+    moved = make_normal_form(1, 1, 1, 3, 3).in_frame(Frame.rotation(origin, -1.0)) * 1e-3
+    return field_to_text(moved, "moved_s2")
+
 
 # written to OUTDIR/inputs before the run
 INPUTS = {
@@ -44,6 +55,8 @@ INPUTS = {
     # S3 plus the stream-function term 0.01 x^10 y^9: a field of degree 18
     "deg18.field": "field deg18\n" + DEG18,
     "deg18.family": "t0 0\nfield u0\n" + DEG18 + "field u1\nv 1 0 1\n",
+    # S2 under a rigid motion and amplitude 1e-3: the zero sits at (0.3, -0.2)
+    "moved_s2.field": _moved_s2(),
 }
 
 COMMANDS = (
@@ -117,6 +130,8 @@ COMMANDS = (
         # degree 18
         ("classify", "{out}/inputs/deg18.field"),
         ("bifurcate", "{out}/inputs/deg18.family", "--point", "0", "0", "--no-verify"),
+        # rigid motion and scale
+        ("classify", "{out}/inputs/moved_s2.field"),
     ]
 )
 

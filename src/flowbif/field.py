@@ -133,6 +133,7 @@ class PolyVectorField:
     def check_antisymmetric(self, center=(0.0, 0.0), tol: float = 1e-12) -> bool:
         """True iff u(c - x) = -u(c + x): only odd total-degree terms about the center."""
         f = self.in_frame(Frame(center, (1.0, 0.0), (0.0, 1.0)))
+        tol *= max(f.u.max_abs_coef(), f.v.max_abs_coef())  # relative to the recentred field
         for comp in (f.u, f.v):
             for (i, j), val in np.ndenumerate(comp.coef):
                 if (i + j) % 2 == 0 and abs(val) > tol:
@@ -143,6 +144,7 @@ class PolyVectorField:
         """Mirror symmetry about the vertical axis through ``axis_origin``:
         u even in x, v odd in x (after recentering)."""
         f = self.in_frame(Frame(axis_origin, (1.0, 0.0), (0.0, 1.0)))
+        tol *= max(f.u.max_abs_coef(), f.v.max_abs_coef())  # relative to the recentred field
         for (i, _), val in np.ndenumerate(f.u.coef):
             if i % 2 == 1 and abs(val) > tol:
                 return False

@@ -24,10 +24,14 @@ proves a component nonzero, or when the boundary winding is reliably zero
 with no paired sign changes; surviving cells are refined to the finest
 level and polished with damped Newton, and polished candidates within
 ``_CLUSTER_RADIUS`` of each other are merged by single linkage into one zero.
+Near-degenerate groups are then solved from the frame coefficients that
+the invariants are read from (``_refine_degenerate``).  Every tolerance is
+relative to the field's largest coefficient.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,10 +49,9 @@ from .winding import _ANGLE_CAP, _angle_steps
 _MAG_RATIO = 1e-3  # boundary magnitude ratio below which a cell winding is unreliable
 _MAX_DEPTH = 14  # finest subdivision level
 _CLUSTER_RADIUS = 1e-6  # candidates closer than this are one zero
-_DET_TOL = 1e-9  # |det(J / max(1, |J|))| at or below this is degenerate
+_DET_TOL = 1e-9  # |det(J / |J|)| at or below this is degenerate
 _NEWTON_MAX_ITER = 50  # damped Newton steps per seed
-_COEF_TOL = 1e-9  # invariants and frame coefficients at or below this are zero
-_S5_TOL = 1e-9  # |lam^2*k + alpha*beta| at or below this is S5
+_COEF_TOL = 1e-9  # x the largest coefficient: a frame coefficient or invariant this small is 0
 
 CASE_INDEX = {"S1": 0, "S2": -1, "S3": 1, "S4": -1, "S5": None, "S6": 1, "S7": -1}
 
@@ -57,7 +60,7 @@ CASE_INDEX = {"S1": 0, "S2": -1, "S3": 1, "S4": -1, "S5": None, "S6": 1, "S7": -
 class SearchOptions:
     """Tunables for root isolation and classification."""
 
-    res_tol: float = 1e-10
+    res_tol: float = 1e-10  # x the largest coefficient: Newton residual a zero must reach
     max_cells: int = 1_000_000
 
 
@@ -115,22 +118,25 @@ def case_label(
     """Case label and Brouwer index from the degeneracy invariants."""
     if k < 2 or n < 2 or k != int(k) or n != int(n):
         raise InvalidCaseDataError(f"tangency orders must be integers >= 2, got k={k}, n={n}")
-    if abs(alpha) <= _COEF_TOL or abs(beta) <= _COEF_TOL or abs(lam) <= _COEF_TOL:
+    scale = max(abs(alpha), abs(beta), abs(lam))
+    if min(abs(alpha), abs(beta), abs(lam)) <= _COEF_TOL * scale:
         raise InvalidCaseDataError("alpha, beta and lam must all be nonzero")
+    alpha, beta, lam = alpha / scale, beta / scale, lam / scale  # products cannot overflow
     if 2 * k > n + 1:
         label = "S1" if n % 2 == 0 else ("S2" if alpha * beta > 0 else "S3")
     elif 2 * k == n + 1:
         disc = lam * lam * k + alpha * beta
-        label = "S5" if abs(disc) <= _S5_TOL else ("S4" if disc > 0 else "S6")
+        near_zero = abs(disc) <= _COEF_TOL * (lam * lam * k + abs(alpha * beta))
+        label = "S5" if near_zero else ("S4" if disc > 0 else "S6")
     else:
         label = "S7"
     return label, CASE_INDEX[label]
 
 
 def _scaled_det(jac: np.ndarray) -> tuple[float, float]:
-    """det(J / max(1, |J|)) and |J| (largest entry): cannot overflow, exact for |J| <= 1."""
+    """det(J / |J|) and |J| (largest entry): cannot overflow, and does not change with scale."""
     jnorm = float(np.max(np.abs(jac)))
-    a = jac / max(1.0, jnorm)
+    a = jac / (jnorm or 1.0)
     return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]), jnorm
 
 
@@ -150,17 +156,17 @@ def extract_degeneracy(
     lam^2*k + alpha*beta, so the label does not depend on the e1 choice.
     """
     p = np.asarray(p, dtype=float).reshape(2)
+    amp = max(field.u.max_abs_coef(), field.v.max_abs_coef())
     res = float(np.hypot(*field(p)))
-    if res > max(opts.res_tol, 1e-12):
+    if res > max(opts.res_tol, 1e-12) * amp:
         raise InvalidCaseDataError(f"point is not a zero: |field| = {res:.3g}")
 
     jac = field.jacobian(p)
     det, jnorm = _scaled_det(jac)
-    if jnorm <= _COEF_TOL:
+    if jnorm <= _COEF_TOL * amp:
         raise NotSimpleError("Jacobian vanishes at the zero; not a simple degenerate point")
     if abs(det) > _DET_TOL:
-        s = max(1.0, jnorm)
-        raise InvalidCaseDataError(f"Jacobian is nondegenerate (det = {det * s * s:.3g})")
+        raise InvalidCaseDataError(f"Jacobian is nondegenerate (det = {det * jnorm * jnorm:.3g})")
 
     _, _, vt = np.linalg.svd(jac)
     e1 = vt[1]  # kernel direction (smallest singular value)
@@ -171,7 +177,7 @@ def extract_degeneracy(
 
     frame = Frame(p, e1, e2)
     w = field.in_frame(frame)
-    coef_scale = max(1.0, w.u.max_abs_coef(), w.v.max_abs_coef())
+    coef_scale = max(w.u.max_abs_coef(), w.v.max_abs_coef())
     thresh = _COEF_TOL * coef_scale
 
     k = lam = None
@@ -206,7 +212,9 @@ def classify_point(
     """Classify a zero as saddle/center or route it to degeneracy extraction."""
     p = np.asarray(p, dtype=float).reshape(2)
     jac = field.jacobian(p)
-    det, _ = _scaled_det(jac)
+    det, jnorm = _scaled_det(jac)
+    if abs(jac[0, 0] + jac[1, 1]) > _DET_TOL * jnorm:
+        return SingularPoint(p, jac, "unresolved", note="field is not divergence-free here")
     if det < -_DET_TOL:
         return SingularPoint(p, jac, "saddle")
     if det > _DET_TOL:
@@ -228,9 +236,10 @@ def newton_polish(
     """Damped Newton from p0, iterated to numerical convergence.
 
     Damping halves the step while the residual would increase.  Near simple
-    degenerate zeros convergence is geometric with ratio (k-1)/k, which
-    _NEWTON_MAX_ITER covers comfortably.  ``opts`` is unused here; perfbench
-    reads ``opts.res_tol`` from the call to judge acceptance.
+    degenerate zeros convergence is geometric with ratio (k-1)/k and stalls
+    short of the zero; ``_refine_degenerate`` finishes those candidates.
+    ``opts`` is unused here; perfbench reads ``opts.res_tol`` from the call
+    to judge acceptance.
     """
     x = np.asarray(p0, dtype=float).reshape(2).copy()
     f = field(x)
@@ -259,7 +268,7 @@ def newton_polish(
         if rt >= r:
             break
         # valley creep: residual barely moves under heavy damping; bail out
-        # early, the structured refinement handles these candidates
+        # early, _refine_degenerate handles these candidates
         slow_rounds = slow_rounds + 1 if rt > 0.9 * r else 0
         x, f, r = xt, ft, rt
         if slow_rounds >= 2:
@@ -269,79 +278,87 @@ def newton_polish(
     return x, r
 
 
-def _constrained_refine(field: PolyVectorField, p0, iters: int = 120) -> np.ndarray:
-    """Polish a near-degenerate candidate by 1-D Newton along the kernel curve.
+def _gauss_newton(system, p, phi, tol, anchor, radius):
+    """Gauss-Newton on ``system(p, phi) -> (r, A)``; A's columns are the derivatives
+    of r along e1, along e2 and in the frame angle.  Steps are taken while they
+    stay within ``radius`` of ``anchor`` and cut the largest residual by 10%;
+    returns (p, phi) if that residual then is at most ``tol``, else None."""
+    r, a = system(p, phi)
+    best = float(np.max(np.abs(r)))
+    for _ in range(_NEWTON_MAX_ITER):
+        step = np.linalg.lstsq(a, -r, rcond=None)[0]
+        c, s = np.cos(phi), np.sin(phi)  # e1 = (c, s), e2 = (-s, c)
+        pt, phit = p + (c * step[0] - s * step[1], s * step[0] + c * step[1]), phi + step[2]
+        if not float(np.hypot(*(pt - anchor))) <= radius:
+            break
+        r, a = system(pt, phit)
+        res = float(np.max(np.abs(r)))
+        if not res < 0.9 * best:
+            break
+        p, phi, best = pt, phit, res
+    return (p, phi) if best <= tol else None
 
-    Plain Newton stalls in the curved residual valley around a degenerate
-    zero (heavy damping, geometric creep).  Here the point is kept on the
-    curve {e1 . field = 0}, which is well conditioned transversally, and the
-    remaining scalar e2 . field is driven to zero along the curve tangent.
-    An m-fold tangency converges at ratio (m-1)/m per step.
+
+def _refine_degenerate(field: PolyVectorField, p0, radius: float, known: dict) -> np.ndarray:
+    """The degenerate zero near p0, solved from the frame coefficients that define it.
+
+    Newton stalls about 1e-6 short of a flat zero, which leaves frame
+    coefficients that extraction reads as nonzero.  Deflated Newton (Leykin,
+    Verschelde & Zhao, TCS 2006) solves for the point and the frame angle
+    instead: first u = v = 0 and J e1 = 0 (orders (2, 2)); then the orders
+    are raised one at a time by adding w1(k, 0) = 0, or else w2(n, 0) = 0,
+    read from one ``in_frame`` per step.  A raise counts only if it solves
+    within ``radius`` of the order-(2, 2) solution, closer than the search
+    tells zeros apart.  Residuals converge at the threshold extraction uses.
+    ``known`` maps the order-(2, 2) solutions already raised to their zeros.
+    Returns p0 if the order-(2, 2) solve fails.
     """
-    p = np.asarray(p0, dtype=float).reshape(2).copy()
+    tol = _COEF_TOL * max(field.u.max_abs_coef(), field.v.max_abs_coef())
+    second = [(c.dx().dx(), c.dx().dy(), c.dy().dy()) for c in (field.u, field.v)]
 
-    def onto_curve(q, e1, e2):
-        for _ in range(50):
-            val = float(e1 @ field(q))
-            der = float(e1 @ (field.jacobian(q) @ e2))
-            if der == 0.0 or not np.isfinite(der):
-                return q, False
-            ds = -val / der
-            q = q + ds * e2
-            if abs(ds) <= 1e-17 * (1.0 + float(np.hypot(*q))):
+    def order22(p, phi):
+        cos, sin = np.cos(phi), np.sin(phi)
+        rot = np.array([[cos, -sin], [sin, cos]])  # columns e1, e2
+        jac, x, y = field.jacobian(p), float(p[0]), float(p[1])
+        hess = np.array([[[a(x, y), b(x, y)], [b(x, y), c(x, y)]] for a, b, c in second])
+        jm = np.vstack([jac, hess @ rot[:, 0]])  # J, then d(J e1)/dp: rows Hu e1, Hv e1
+        turn = np.concatenate([(0.0, 0.0), jac @ rot[:, 1]])
+        return np.concatenate([field(p), jm[:2] @ rot[:, 0]]), np.column_stack([jm @ rot, turn])
+
+    @functools.lru_cache(maxsize=2)  # a raise starts where the last solve ended
+    def frame_field(x, y, phi):
+        return field.in_frame(Frame.rotation((x, y), phi))
+
+    def jet(p, phi, k, n):  # rows w1(i, 0) for i < k, w2(i, 0) for i < n; w(-1, j) is 0
+        w = frame_field(float(p[0]), float(p[1]), phi)
+        c1, c2 = w.u.coefficient, w.v.coefficient
+        rows = [(c1(i, 0), (i + 1) * c1(i + 1, 0), c1(i, 1), c2(i, 0) + (i and c1(i - 1, 1)))
+                for i in range(k)]
+        rows += [(c2(i, 0), (i + 1) * c2(i + 1, 0), c2(i, 1), (i and c2(i - 1, 1)) - c1(i, 0))
+                 for i in range(n)]
+        rows = np.array(rows)
+        return rows[:, 0], rows[:, 1:]
+
+    p0 = np.asarray(p0, dtype=float).reshape(2)
+    e1 = np.linalg.svd(field.jacobian(p0))[2][1]
+    sol = _gauss_newton(order22, p0, float(np.arctan2(e1[1], e1[0])), tol, p0, np.inf)
+    if sol is None:
+        return p0
+    anchor = sol[0]
+    for q, zero in known.items():
+        if float(np.hypot(*(anchor - q))) <= radius:
+            return zero
+    k = n = 2
+    while max(k, n) <= field.max_degree:  # beyond the degree every coefficient is zero
+        for dk, dn in ((1, 0), (0, 1)):
+            up = _gauss_newton(lambda q, a: jet(q, a, k + dk, n + dn), *sol, tol, anchor, radius)
+            if up is not None:
+                sol, k, n = up, k + dk, n + dn
                 break
-        return q, True
-
-    prev_step = None
-    for _ in range(iters):
-        # Re-derive the frame from the current Jacobian: a frame frozen at the
-        # starting point carries an O(|p0|^{k-1}) kernel error that puts an
-        # absolute noise floor under the 1-D derivative and stalls the loop
-        # well short of the zero.
-        jac = field.jacobian(p)
-        _, _, vt = np.linalg.svd(jac)
-        e1 = vt[1]
-        e2 = np.array([-e1[1], e1[0]])
-        q, ok = onto_curve(p, e1, e2)
-        if not ok:
+        else:
             break
-        jac = field.jacobian(q)
-        grad1 = jac.T @ e1
-        grad2 = jac.T @ e2
-        transversal = float(grad1 @ e2)
-        if transversal == 0.0:
-            p = q
-            break
-        tangent = e1 - (float(grad1 @ e1) / transversal) * e2
-        g = float(e2 @ field(q))
-        gp = float(grad2 @ tangent)
-        if gp == 0.0 or not np.isfinite(gp):
-            p = q
-            break
-        step = -(g / gp) * tangent
-        p_new = q + step
-        # An m-fold tangency contracts at a steady ratio, so two consecutive
-        # steps determine the geometric limit (Aitken).  Jump there when the
-        # on-curve residual confirms the prediction; this turns ~120 creeping
-        # iterations into a handful.
-        if prev_step is not None:
-            n1 = float(np.hypot(*prev_step))
-            n2 = float(np.hypot(*step))
-            if n1 > 0.0 and n2 > 0.0 and float(step @ prev_step) > 0.0:
-                rho = n2 / n1
-                if 0.05 < rho < 0.995:
-                    ext = p_new + step * (rho / (1.0 - rho))
-                    ext_q, ok2 = onto_curve(ext, e1, e2)
-                    if ok2 and abs(float(e2 @ field(ext_q))) < abs(g):
-                        p = ext_q
-                        prev_step = None
-                        continue
-        moved = float(np.hypot(*(p_new - p)))
-        p = p_new
-        prev_step = step
-        if moved <= 1e-17 * (1.0 + float(np.hypot(*p))):
-            break
-    return p
+    known[tuple(anchor)] = sol[0]
+    return sol[0]
 
 
 # ---------------------------------------------------------------------------
@@ -483,32 +500,25 @@ def find_singular_points(
             qy = np.concatenate([cy - hy / 2, cy - hy / 2, cy + hy / 2, cy + hy / 2])
             cx, cy = qx, qy
 
-    # polish, filter, dedup
+    # polish, filter, group; groups that refine to one zero share its array
+    amp = max(field.u.max_abs_coef(), field.v.max_abs_coef())
     slack = 1e-9 * max(w, h)
     candidates: list[tuple[np.ndarray, float]] = []
     for seed in seeds:
         pt, res = newton_polish(field, seed, opts)
-        if res > opts.res_tol:
+        if res > opts.res_tol * amp:
             continue
         if not (x0 - slack <= pt[0] <= x1 + slack and y0 - slack <= pt[1] <= y1 + slack):
             continue
         candidates.append((pt, res))
 
-    # Near-degenerate candidates stall short of the true zero; give them the
-    # structured polish, then dedup again since stalled copies collapse.
-    refined: list[tuple[np.ndarray, float]] = []
+    cell = float(np.hypot(w, h)) / (1 << max_depth)
+    known, zeros = {}, {}
     for cluster in _cluster(candidates, _CLUSTER_RADIUS):
-        pt, res = min(cluster, key=lambda c: (c[1], c[0][0], c[0][1]))
+        pt, _ = min(cluster, key=lambda c: (c[1], c[0][0], c[0][1]))
         if abs(_scaled_det(field.jacobian(pt))[0]) <= 1e-4:
-            cand = _constrained_refine(field, pt)
-            cres = float(np.hypot(*field(cand)))
-            if cres <= res and np.all(np.isfinite(cand)):
-                pt, res = cand, cres
-        refined.append((pt, res))
-
-    points = []
-    for cluster in _cluster(refined, _CLUSTER_RADIUS):
-        best = min(cluster, key=lambda c: (c[1], c[0][0], c[0][1]))
-        points.append(classify_point(field, best[0], opts))
+            pt = _refine_degenerate(field, pt, cell, known)
+        zeros.setdefault(tuple(pt), pt)
+    points = [classify_point(field, pt, opts) for pt in zeros.values()]
     points.sort(key=lambda s: (s.location[0], s.location[1]))
     return points

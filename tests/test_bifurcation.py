@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from flowbif import (
     FlowbifError,
+    Frame,
     Poly2,
     PolyVectorField,
     TimeFamily,
@@ -235,6 +236,17 @@ def test_anti_single_violation_lambda2():
     assert rep.symmetry == "anti"
     assert not rep.in_generic_subset
     assert rep.failed_conditions == ("lambda2 != 0",)
+
+
+def test_symmetry_found_after_recentring_a_large_field():
+    # re-expanding about (0.3, -0.2) leaves rounding in the even terms that
+    # grows with the amplitude; the symmetry checks scale their tolerance
+    shift = Frame((-0.3, 0.2), (1.0, 0.0), (0.0, 1.0))
+    base = make_normal_form(1, -1, 1, 3, 3).in_frame(shift) * 1e6
+    accel = field({}, {(1, 0): 1.0}).in_frame(shift) * 1e6
+    rep = check_generic_membership(TimeFamily(base, accel), (0.3, -0.2))
+    assert rep.symmetry == "anti"
+    assert rep.in_generic_subset
 
 
 def test_reflectional_generic_membership():

@@ -2,7 +2,9 @@ import warnings
 
 import pytest
 
+from flowbif import Frame, field_to_text
 from flowbif.cli import RunConfig, _UsageError, main
+from flowbif.singular import make_normal_form
 
 from conftest import GALLERY
 
@@ -111,6 +113,18 @@ def test_classify_huge_field(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "classify", str(path))
     assert code == 0
     assert out == "x=0 y=0 kind=center index=1\n"
+
+
+def test_classify_moved_small_s2(tmp_path, capsys):
+    # S2 moved to (0.3, -0.2), turned by 1 rad and scaled by 1e-3
+    rot = Frame.rotation((0.0, 0.0), 1.0).rot
+    f = make_normal_form(1, 1, 1, 3, 3).in_frame(Frame.rotation(-rot.T @ (0.3, -0.2), -1.0))
+    path = tmp_path / "moved_s2.field"
+    path.write_text(field_to_text(f * 1e-3, "moved_s2"))
+    code, out, _ = run_cli(capsys, "classify", str(path))
+    assert code == 0
+    assert "case=S2 index=-1" in out
+    assert "k=3 n=3" in out
 
 
 def test_bifurcate_text_report(capsys):

@@ -70,6 +70,14 @@ def test_antisymmetric_off_center():
     assert not shifted.check_antisymmetric((0.0, 0.0))
 
 
+def test_symmetry_tolerance_is_relative():
+    # an even-degree term is a broken symmetry at any amplitude
+    tiny = field({(0, 0): 1e-13, (0, 1): 1e-13}, {(1, 0): 1e-13})
+    assert not tiny.check_antisymmetric()
+    assert field({(0, 1): 1e-13}, {(1, 0): 1e-13}).check_antisymmetric()
+    assert not field({(1, 0): 1e-13, (0, 1): 1e-13}, {(0, 0): 1e-13}).check_reflectional()
+
+
 def test_reflectional_examples():
     assert field({(0, 1): 1.0, (2, 0): 1.0}, {(3, 0): 1.0, (1, 1): -2.0}).check_reflectional()
     assert not field({(0, 1): 1.0, (3, 0): 1.0}, {(3, 0): 1.0, (2, 1): -3.0}).check_reflectional()

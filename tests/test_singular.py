@@ -111,6 +111,24 @@ def test_not_simple_rejected():
         extract_degeneracy(f, (0.0, 0.0))
 
 
+@pytest.mark.parametrize("amp", [1e-5, 1e-200, 1e200])
+def test_s4_label_does_not_depend_on_amplitude(amp):
+    # every tolerance is relative to the field's amplitude; 1e-5 read S5 before
+    f = make_normal_form(1, 1, 1, 2, 3) * amp
+    assert extract_degeneracy(f, (0.0, 0.0)).case_label == "S4"
+    pts = find_singular_points(f, BOX)
+    assert [(p.kind, p.degeneracy.case_label) for p in pts] == [("degenerate", "S4")]
+
+
+def test_source_is_not_a_center():
+    # u = (x + 0.1, y): det J = 1 but trace 2, so neither a center nor a saddle
+    f = field({(1, 0): 1.0, (0, 0): 0.1}, {(0, 1): 1.0})
+    (pt,) = find_singular_points(f, BOX)
+    assert pt.kind == "unresolved"
+    assert "divergence-free" in pt.note
+    assert np.allclose(pt.location, (-0.1, 0.0))
+
+
 def test_classify_nondegenerate():
     assert classify_point(field({(1, 0): 1.0}, {(0, 1): -1.0}), (0, 0)).kind == "saddle"
     assert classify_point(field({(0, 1): -1.0}, {(1, 0): 1.0}), (0, 0)).kind == "center"
@@ -178,6 +196,38 @@ def test_cluster_radius_merges_near_roots(saddle_split_family):
     pts = find_singular_points(w, (-0.01, -0.01, 0.01, 0.01))
     assert len(pts) == 1  # merged: separation ~8e-8 < cluster radius
 
+
+
+def _moved(label, theta, ox, oy, exponent):
+    """10**exponent * R f(R^T (p - o)) for the normal form of ``label``: its zero moves to o."""
+    rot = Frame.rotation((0.0, 0.0), theta).rot
+    o = np.array([ox, oy])
+    f = make_normal_form(*CASE_PARAMS[label])
+    return f.in_frame(Frame.rotation(-rot.T @ o, -theta)) * 10.0**exponent, o
+
+
+@given(
+    st.sampled_from(sorted(CASE_PARAMS)),
+    st.floats(0.0, 2 * np.pi),
+    st.floats(-0.5, 0.5),
+    st.floats(-0.5, 0.5),
+    st.floats(-6.0, 6.0),
+)
+@settings(max_examples=12, deadline=None)
+def test_search_invariant_under_rigid_motion_and_scale(label, theta, ox, oy, exponent):
+    f, o = _moved(label, theta, ox, oy, exponent)
+    if label == "S5":
+        pt = classify_point(f, o)
+        assert pt.kind == "unresolved" or pt.degeneracy.case_label == "S5"
+        return
+    box = (ox - 0.5, oy - 0.5, ox + 0.5, oy + 0.5)
+    near = [p for p in find_singular_points(f, box) if np.hypot(*(p.location - o)) <= 0.3]
+    assert len(near) == 1
+    (pt,) = near
+    assert pt.kind == "degenerate"
+    d = pt.degeneracy
+    assert (d.case_label, d.k, d.n) == (label, *CASE_PARAMS[label][3:])
+    assert pt.index == CASE_INDEX[label] == winding_index(f, pt.location, 0.1).winding
 
 
 # ---------------------------------------------------------------------------
