@@ -132,6 +132,12 @@ COMMANDS = (
         ("bifurcate", "{out}/inputs/deg18.family", "--point", "0", "0", "--no-verify"),
         # rigid motion and scale
         ("classify", "{out}/inputs/moved_s2.field"),
+        # negative values in scientific notation
+        ("classify", S4, "--box", "-1e-1", "-1e-1", "1e-1", "1e-1"),
+        (*LADDER, "-1e-2", "-1e-3", "1e-2", "1e-3", "--no-verify"),
+        ("trace", S4, "--seed", "-3e-1", "2e-1"),
+        ("index", S4, "--center", "-1e-2", "0", "--radius", "0.1"),
+        ("bifurcate", SPLIT, "--point", "-0e0", "0", "--no-verify"),
     ]
 )
 

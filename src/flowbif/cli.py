@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -40,7 +41,20 @@ class _UsageError(Exception):
     pass
 
 
+_DIGITS = r"\d(?:_?\d)*"
+# any negative float literal; argparse 3.11 knows only -12 and -1.5, so it
+# would read -1e-3 as an option (-inf and -nan then fail the finite check)
+_NEGATIVE_NUMBER = re.compile(
+    rf"^-(?:(?:{_DIGITS})?\.{_DIGITS}|{_DIGITS}\.?)(?:e[+-]?{_DIGITS})?$|^-(?:inf|infinity|nan)$",
+    re.IGNORECASE,
+)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     # argparse exits 2 on bad flags; 2 is reserved for analysis refusals here
     def error(self, message):
         raise _UsageError(message)

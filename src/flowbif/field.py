@@ -96,19 +96,24 @@ class PolyVectorField:
         """Componentwise evaluation on numpy arrays."""
         return self.u(x, y), self.v(x, y)
 
+    def _partial_polys(self) -> tuple[Poly2, Poly2, Poly2, Poly2]:
+        """u_x, u_y, v_x, v_y, built once per field."""
+        if self._partials is None:
+            self._partials = (self.u.dx(), self.u.dy(), self.v.dx(), self.v.dy())
+        return self._partials
+
     def jacobian(self, p) -> np.ndarray:
-        parts = self._partials
-        if parts is None:
-            parts = self._partials = (
-                self.u.dx(), self.u.dy(), self.v.dx(), self.v.dy(),
-            )
+        ux, uy, vx, vy = self._partial_polys()
         x, y = float(p[0]), float(p[1])
-        return np.array(
-            [
-                [parts[0](x, y), parts[1](x, y)],
-                [parts[2](x, y), parts[3](x, y)],
-            ]
-        )
+        return np.array([[ux(x, y), uy(x, y)], [vx(x, y), vy(x, y)]])
+
+    def jacobian_many(self, x, y) -> np.ndarray:
+        """Jacobians on numpy arrays, stacked: shape ``broadcast(x, y).shape + (2, 2)``.
+
+        Each matrix is bitwise the one ``jacobian`` gives at that point.
+        """
+        entries = [d(x, y) for d in self._partial_polys()]
+        return np.stack(entries, axis=-1).reshape(entries[0].shape + (2, 2))
 
     @property
     def max_degree(self) -> int:

@@ -8,7 +8,8 @@ hold to rounding error and searches can use rigorous coefficient bounds.
 from __future__ import annotations
 
 import numpy as np
-from numpy.polynomial import polynomial as _npoly
+
+_ROW_SUM_FLOATS = 1 << 16  # array evaluation keeps at most this many row sums at once
 
 
 def _trim(coef) -> np.ndarray:
@@ -34,7 +35,7 @@ class Poly2:
         c = _trim(coef).copy()
         c.setflags(write=False)
         self.coef = c
-        # row-major list-of-lists copy for the scalar Horner fast path
+        # row-major list-of-lists copy for the scalar Horner loop
         self._rows = c.tolist()
 
     # -- construction -------------------------------------------------
@@ -82,17 +83,32 @@ class Poly2:
         return float(np.max(np.abs(self.coef)))
 
     def __call__(self, x, y):
-        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
-            return _npoly.polyval2d(x, y, self.coef)
-        # scalar path: plain Horner beats polyval2d's setup cost by ~5x
-        x = float(x)
-        y = float(y)
+        """p(x, y) by Horner's rule: in y along each row, then in x over the rows.
+
+        Arrays broadcast against each other.  Each array entry goes through
+        the same float operations in the same order as the scalar loop, so
+        a point gives bitwise the same value alone or inside an array.
+        """
+        if not (isinstance(x, np.ndarray) or isinstance(y, np.ndarray)):
+            x, y = float(x), float(y)
+            acc = 0.0
+            for row in reversed(self._rows):
+                r = 0.0
+                for c in reversed(row):
+                    r = r * y + c
+                acc = acc * x + r
+            return acc
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        c = self.coef.reshape(self.coef.shape + (1,) * y.ndim)
+        block = max(1, _ROW_SUM_FLOATS // max(y.size, 1))  # rows summed at once
         acc = 0.0
-        for row in reversed(self._rows):
-            r = 0.0
-            for c in reversed(row):
-                r = r * y + c
-            acc = acc * x + r
+        for end in range(c.shape[0], 0, -block):
+            rows = np.zeros((min(block, end),) + y.shape)
+            for j in range(c.shape[1] - 1, -1, -1):
+                rows *= y
+                rows += c[end - len(rows) : end, j]
+            for r in rows[::-1]:
+                acc = acc * x + r
         return acc
 
     def coefficient(self, i: int, j: int) -> float:

@@ -21,9 +21,12 @@ The invariants (alpha, beta, lam, k, n) decide one of seven cases:
 where a*b abbreviates alpha*beta.  Root finding uses recursive box
 subdivision: cells are discarded when a coefficient-level gradient bound
 proves a component nonzero, or when the boundary winding is reliably zero
-with no paired sign changes; surviving cells are refined to the finest
-level and polished with damped Newton, and polished candidates within
-``_CLUSTER_RADIUS`` of each other are merged by single linkage into one zero.
+with no paired sign changes.  Surviving cells are refined to the finest
+level, and damped Newton polishes the centres of all of them at once: the
+seeds advance in lockstep on arrays, each under its own step rules, so a
+seed ends on the same bits as it would alone (``newton_polish``).
+Polished candidates within ``_CLUSTER_RADIUS`` of each other are merged by
+single linkage into one zero.
 Near-degenerate groups are then solved from the frame coefficients that
 the invariants are read from (``_refine_degenerate``).  Every tolerance is
 relative to the field's largest coefficient.
@@ -233,48 +236,79 @@ def classify_point(
 def newton_polish(
     field: PolyVectorField, p0, opts: SearchOptions = DEFAULT_SEARCH
 ) -> tuple[np.ndarray, float]:
-    """Damped Newton from p0, iterated to numerical convergence.
+    """Damped Newton from p0, iterated to numerical convergence: (point, residual).
 
-    Damping halves the step while the residual would increase.  Near simple
-    degenerate zeros convergence is geometric with ratio (k-1)/k and stalls
-    short of the zero; ``_refine_degenerate`` finishes those candidates.
-    ``opts`` is unused here; perfbench reads ``opts.res_tol`` from the call
-    to judge acceptance.
+    The one-seed call of the lockstep polish that ``find_singular_points``
+    runs on all its seeds at once (``_polish``), so it gives the same bits
+    as the search does for this seed.  Damping halves the step while the
+    residual would increase.  Near simple degenerate zeros convergence is
+    geometric with ratio (k-1)/k and stalls short of the zero;
+    ``_refine_degenerate`` finishes those candidates.  ``opts`` is unused
+    here; perfbench reads ``opts.res_tol`` from the call to judge acceptance.
     """
-    x = np.asarray(p0, dtype=float).reshape(2).copy()
-    f = field(x)
-    r = float(np.hypot(*f))
-    slow_rounds = 0
+    x, r = _polish(field, np.asarray(p0, dtype=float).reshape(1, 2))
+    return x[0], float(r[0])
+
+
+def _steps(jac: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Newton steps -J^-1 f for stacked (n, 2, 2) Jacobians and (n, 2) values.
+
+    One stacked solve; if any matrix is singular, every seed is solved on
+    its own and a singular one takes the least-squares step instead.
+    """
+    try:
+        return np.linalg.solve(jac, -f[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        steps = np.empty_like(f)
+        for i, (a, b) in enumerate(zip(jac, -f)):
+            try:
+                steps[i] = np.linalg.solve(a, b)
+            except np.linalg.LinAlgError:
+                steps[i] = np.linalg.lstsq(a, b, rcond=None)[0]
+        return steps
+
+
+def _polish(field: PolyVectorField, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Newton from every row of ``seeds`` (n, 2) in lockstep: (points, residuals).
+
+    The seeds share array evaluations and one stacked solve per step, but
+    each follows its own rules, so its bits do not depend on the batch.  A
+    seed stops when its residual is 0 or its step is not finite; when 12
+    halvings of the step leave the residual no lower; after two rounds in a
+    row that cut the residual by less than 10% (valley creep near a
+    degenerate zero, which ``_refine_degenerate`` handles); when its step
+    falls below 1e-16 of |x| + 1; or after ``_NEWTON_MAX_ITER`` steps.
+    """
+    x = np.array(seeds, dtype=float).reshape(-1, 2)
+    f = np.column_stack(field.evaluate_many(x[:, 0], x[:, 1]))
+    r = np.hypot(f[:, 0], f[:, 1])
+    slow = np.zeros(len(x), dtype=int)
+    live = np.flatnonzero(r != 0.0)  # seeds still iterating
     for _ in range(_NEWTON_MAX_ITER):
-        if r == 0.0:
+        if live.size == 0:
             break
-        jac = field.jacobian(x)
-        try:
-            step = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(jac, -f, rcond=None)[0]
-        if not np.all(np.isfinite(step)):
-            break
-        xt = x + step
-        ft = field(xt)
-        rt = float(np.hypot(*ft))
-        halvings = 0
-        while rt >= r and halvings < 12:
-            step *= 0.5
-            xt = x + step
-            ft = field(xt)
-            rt = float(np.hypot(*ft))
-            halvings += 1
-        if rt >= r:
-            break
-        # valley creep: residual barely moves under heavy damping; bail out
-        # early, _refine_degenerate handles these candidates
-        slow_rounds = slow_rounds + 1 if rt > 0.9 * r else 0
-        x, f, r = xt, ft, rt
-        if slow_rounds >= 2:
-            break
-        if float(np.hypot(*step)) <= 1e-16 * (1.0 + float(np.hypot(*x))):
-            break
+        step = _steps(field.jacobian_many(x[live, 0], x[live, 1]), f[live])
+        finite = np.isfinite(step).all(axis=1)
+        live, step = live[finite], step[finite]
+        x0, r0 = x[live], r[live]
+        xt = x0 + step
+        ft = np.column_stack(field.evaluate_many(xt[:, 0], xt[:, 1]))
+        rt = np.hypot(ft[:, 0], ft[:, 1])
+        for _ in range(12):  # halve the steps that do not lower the residual
+            up = np.flatnonzero(rt >= r0)
+            if up.size == 0:
+                break
+            step[up] *= 0.5
+            xt[up] = x0[up] + step[up]
+            ft[up] = np.column_stack(field.evaluate_many(xt[up, 0], xt[up, 1]))
+            rt[up] = np.hypot(ft[up, 0], ft[up, 1])
+        down = ~(rt >= r0)  # the others stop where they are
+        live, step, r0 = live[down], step[down], r0[down]
+        x[live], f[live], r[live] = xt[down], ft[down], rt[down]
+        slow[live] = np.where(r[live] > 0.9 * r0, slow[live] + 1, 0)
+        size = np.hypot(x[live, 0], x[live, 1])
+        tiny = np.hypot(step[:, 0], step[:, 1]) <= 1e-16 * (1.0 + size)
+        live = live[(slow[live] < 2) & ~tiny & (r[live] != 0.0)]
     return x, r
 
 
@@ -433,6 +467,10 @@ def find_singular_points(
 ) -> list[SingularPoint]:
     """All zeros of the field inside the box, classified and sorted by (x, y).
 
+    Every finest-level cell that survives the subdivision seeds damped
+    Newton; the seeds are polished together in lockstep (``_polish``) and
+    each ends where ``newton_polish`` from it alone would.
+
     Completeness is claimed for zeros whose pairwise separation exceeds the
     finest subdivision cell (box diameter / 2**max_depth); zeros hidden
     behind cancelling boundary data finer than that can in principle be
@@ -455,7 +493,7 @@ def find_singular_points(
     )
     cx, cy = cx.ravel(), cy.ravel()
 
-    seeds: list[np.ndarray] = []
+    seeds = np.empty((0, 2))
     cells_seen = 0
     for depth in range(start_depth, max_depth + 1):
         if cx.size == 0:
@@ -492,7 +530,7 @@ def find_singular_points(
         cx, cy = cx[~discard], cy[~discard]
 
         if depth == max_depth:
-            seeds.extend(np.column_stack([cx, cy]))
+            seeds = np.column_stack([cx, cy])
             break
         # split survivors into 4 children
         if cx.size:
@@ -503,14 +541,11 @@ def find_singular_points(
     # polish, filter, group; groups that refine to one zero share its array
     amp = max(field.u.max_abs_coef(), field.v.max_abs_coef())
     slack = 1e-9 * max(w, h)
-    candidates: list[tuple[np.ndarray, float]] = []
-    for seed in seeds:
-        pt, res = newton_polish(field, seed, opts)
-        if res > opts.res_tol * amp:
-            continue
-        if not (x0 - slack <= pt[0] <= x1 + slack and y0 - slack <= pt[1] <= y1 + slack):
-            continue
-        candidates.append((pt, res))
+    pts, res = _polish(field, seeds)
+    keep = ~(res > opts.res_tol * amp)
+    keep &= (x0 - slack <= pts[:, 0]) & (pts[:, 0] <= x1 + slack)
+    keep &= (y0 - slack <= pts[:, 1]) & (pts[:, 1] <= y1 + slack)
+    candidates = list(zip(pts[keep], res[keep].tolist()))
 
     cell = float(np.hypot(w, h)) / (1 << max_depth)
     known, zeros = {}, {}

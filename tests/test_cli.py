@@ -304,6 +304,47 @@ def test_non_finite_flags_exit_1(capsys, argv):
     assert err.startswith("usage error: ")
 
 
+LADDER = ("bifurcate", SPLIT, "--point", "0", "0", "--eps-ladder")
+
+
+@pytest.mark.parametrize(
+    "argv,decimal",
+    [
+        (("classify", S4, "--box", "-1e-1", "-1e-1", "1e-1", "1e-1"),
+         ("classify", S4, "--box", "-0.1", "-0.1", "0.1", "0.1")),
+        ((*LADDER, "-1e-2", "-1e-3", "1e-2", "1e-3", "--no-verify"),
+         (*LADDER, "-0.01", "-0.001", "0.01", "0.001", "--no-verify")),
+        ((*LADDER, "-1E-2", "1.e-3"), (*LADDER, "-0.01", "0.001")),
+        (("trace", S4, "--seed", "-3e-1", "2e-1"), ("trace", S4, "--seed", "-0.3", "0.2")),
+        (("index", S4, "--center", "-1e-2", "0", "--radius", "0.1"),
+         ("index", S4, "--center", "-0.01", "0", "--radius", "0.1")),
+        (("bifurcate", SPLIT, "--point", "-0e0", "0", "--no-verify"),
+         ("bifurcate", SPLIT, "--point", "-0.0", "0", "--no-verify")),
+        (("classify", S4, "--box", "-.5e+0", "-5_0e-2", "0.5", "0.5"), ("classify", S4, *BOX)),
+    ],
+)
+def test_negative_scientific_notation_is_a_number(capsys, argv, decimal):
+    # argparse alone reads -1e-1 as an option and stops with "expected 4 arguments"
+    code, out, err = run_cli(capsys, *argv)
+    assert "expected" not in err
+    assert (code, out) == run_cli(capsys, *decimal)[:2]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("trace", S4, "--seed", "-inf", "0.1"),
+        ("classify", S4, "--box", "-1", "-NaN", "1", "1"),
+        ("bifurcate", SPLIT, "--point", "0", "0", "--eps-ladder", "-Infinity", "1e-3"),
+    ],
+)
+def test_negative_non_finite_flags_fail_the_finite_check(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: numeric flags must be finite")
+
+
 def test_runconfig_validates_ladder():
     with pytest.raises(_UsageError):
         RunConfig("bifurcate", path="x", ladder=(1e-3, 1e-2))

@@ -36,6 +36,41 @@ def test_scalar_and_array_paths_agree():
         assert p(float(x), float(y)) == pytest.approx(float(val), rel=1e-14)
 
 
+@given(st.integers(0, 20), st.integers(0, 2**32 - 1))
+@settings(max_examples=60)
+def test_array_evaluation_is_bitwise_the_scalar_one(degree, seed):
+    g = np.random.default_rng(seed)
+    coef = np.zeros((degree + 1, degree + 1))
+    for i, j in np.ndindex(coef.shape):
+        if i + j <= degree and g.random() < 0.8:
+            coef[i, j] = g.choice((-1.0, 1.0)) * 10.0 ** g.uniform(-3.0, 3.0)
+    p = Poly2(coef)
+    cx, cy = g.uniform(-1.5, 1.5, (2, 6))
+    cx[0], cy[1] = 0.0, -0.0
+    off = g.uniform(-1.0, 1.0, (32, 2)) * 10.0 ** g.uniform(-6.0, 0.0)
+    px, py = cx[:, None] + off[:, 0], cy[:, None] + off[:, 1]  # (n, 32) cell boundaries
+    for x, y in ((cx, cy), (px, py), (float(cx[2]), cy), (cx, float(cy[3])), (cx[:, None], cy)):
+        xb, yb = np.broadcast_arrays(x, y)
+        got = p(x, y)
+        assert got.shape == xb.shape
+        want = [p(float(a), float(b)) for a, b in zip(xb.ravel(), yb.ravel())]
+        assert (np.asarray(got).ravel().view(np.int64) == np.array(want).view(np.int64)).all()
+
+
+@pytest.mark.parametrize("size", [20_000, 3 * 2**15])
+@pytest.mark.parametrize("shape", [(21, 21), (8, 2), (2, 8)])
+def test_large_arrays_evaluate_in_row_blocks_with_the_same_bits(shape, size):
+    # past 2**16 row sums at once the rows go in blocks (of 3 rows, then of 1
+    # row, here); the bits stay those of small arrays
+    g = np.random.default_rng(3)
+    p = Poly2(g.normal(size=shape))
+    x, y = g.uniform(-1.2, 1.2, (2, size))
+    whole = p(x, y)
+    parts = np.concatenate([p(x[i : i + 1000], y[i : i + 1000]) for i in range(0, x.size, 1000)])
+    assert (whole.view(np.int64) == parts.view(np.int64)).all()
+    assert float(whole[123]) == p(float(x[123]), float(y[123]))
+
+
 def test_derivatives():
     # d/dx (y + x^2 y^3) = 2 x y^3 ; d/dy = 1 + 3 x^2 y^2
     p = Poly2.from_terms({(0, 1): 1.0, (2, 3): 1.0})
