@@ -23,7 +23,9 @@ import warnings
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from flowbif import Frame, field_to_text  # noqa: E402
+from flowbif import (  # noqa: E402
+    Frame, TimeFamily, family_to_text, field_to_text, parse_field_file,
+)
 from flowbif.cli import main  # noqa: E402
 from flowbif.singular import make_normal_form  # noqa: E402
 
@@ -45,6 +47,12 @@ def _moved_s2() -> str:
     return field_to_text(moved, "moved_s2")
 
 
+def _scaled_center_split(a: float) -> str:
+    """gallery/center_split.family with both blocks multiplied by a."""
+    fam = parse_field_file(ROOT / "gallery" / "center_split.family")
+    return family_to_text(TimeFamily(fam.base * a, fam.accel * a, fam.t0))
+
+
 # written to OUTDIR/inputs before the run
 INPUTS = {
     # u = (x + 0.1, y): a source, not divergence-free
@@ -57,6 +65,13 @@ INPUTS = {
     "deg18.family": "t0 0\nfield u0\n" + DEG18 + "field u1\nv 1 0 1\n",
     # S2 under a rigid motion and amplitude 1e-3: the zero sits at (0.3, -0.2)
     "moved_s2.field": _moved_s2(),
+    # S4 at amplitude 1e-14 plus the source term 1e-20 x: not divergence-free
+    "tiny_s4.field": "field tiny_s4\nu 0 1 1e-14\nu 2 0 1e-14\nu 1 0 1e-20\n"
+    "v 1 1 -2e-14\nv 3 0 1e-14\n",
+    # S4 at amplitude 1e6 with the x^2 coefficient one ulp above 1e6: divergence-free
+    "big_s4.field": "field big_s4\nu 0 1 1e6\nu 2 0 1000000.0000000001\n"
+    "v 1 1 -2e6\nv 3 0 1e6\n",
+    "tiny_center_split.family": _scaled_center_split(1e-14),
 }
 
 COMMANDS = (
@@ -138,6 +153,12 @@ COMMANDS = (
         ("trace", S4, "--seed", "-3e-1", "2e-1"),
         ("index", S4, "--center", "-1e-2", "0", "--radius", "0.1"),
         ("bifurcate", SPLIT, "--point", "-0e0", "0", "--no-verify"),
+        # amplitude: every zero test is relative to the field's largest coefficient
+        ("check", "{out}/inputs/tiny_s4.field"),
+        ("classify", "{out}/inputs/tiny_s4.field"),
+        ("check", "{out}/inputs/big_s4.field"),
+        ("classify", "{out}/inputs/big_s4.field"),
+        ("bifurcate", "{out}/inputs/tiny_center_split.family", "--point", "0", "0", "--no-verify"),
     ]
 )
 

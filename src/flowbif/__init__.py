@@ -20,7 +20,6 @@ from .bifurcation import (
     check_generic_membership,
     decide,
     extract_perturbation,
-    verify,
 )
 from .errors import (
     AnalysisRefusal,
@@ -54,7 +53,6 @@ from .singular import (
     extract_degeneracy,
     find_singular_points,
     make_normal_form,
-    newton_polish,
 )
 from .topology import (
     Orbit,
@@ -112,14 +110,12 @@ __all__ = [
     "integrate_streamline",
     "load_field_file",
     "make_normal_form",
-    "newton_polish",
     "parse_field_file",
     "parse_field_text",
     "render_portrait",
     "separatrices",
     "separatrix_portrait",
     "signature",
-    "verify",
     "winding_index",
     "write_portrait",
 ]

@@ -25,15 +25,16 @@ from .errors import (
 )
 from .field import Frame, PolyVectorField, TimeFamily
 from .singular import (
+    _COEF_TOL,
     DEFAULT_SEARCH,
     DegeneracyData,
     SearchOptions,
+    _net_sum,
     extract_degeneracy,
     find_singular_points,
 )
 
 DEFAULT_LADDER = (1e-2, 1e-3, 1e-4)
-DECISION_TOL = 1e-9  # coefficients at or below this count as zero in decisions
 
 @dataclass(frozen=True)
 class PerturbationData:
@@ -42,13 +43,20 @@ class PerturbationData:
     In the degeneracy frame the e2-component of u1 expands as
     lambda0 + lambda2*x + lambda3*y + O(2), and the e1-component starts at
     lambda1.  lambda3 never enters a leading-order formula but is kept for
-    completeness of the first-order jet.
+    completeness of the first-order jet.  ``scale`` is the largest
+    coefficient of the frame-local u1; a lambda at or below ``_COEF_TOL``
+    times it counts as zero (``significant``).
     """
 
     lambda0: float
     lambda1: float
     lambda2: float
     lambda3: float
+    scale: float
+
+    def significant(self, value: float) -> float:
+        """``value``, or exactly 0.0 when it is at most ``_COEF_TOL`` x ``scale``."""
+        return 0.0 if abs(value) <= _COEF_TOL * self.scale else value
 
 
 def extract_perturbation(u1: PolyVectorField, frame: Frame) -> PerturbationData:
@@ -59,6 +67,7 @@ def extract_perturbation(u1: PolyVectorField, frame: Frame) -> PerturbationData:
         lambda1=w.u.coefficient(0, 0),
         lambda2=w.v.coefficient(1, 0),
         lambda3=w.v.coefficient(0, 1),
+        scale=w.max_abs_coef(),
     )
 
 
@@ -66,16 +75,22 @@ def extract_perturbation(u1: PolyVectorField, frame: Frame) -> PerturbationData:
 # decision
 
 
+def _split_combination(d: DegeneracyData, p: PerturbationData) -> float:
+    """2*lam*lambda1 + alpha*lambda2, exactly 0.0 when its terms cancel."""
+    return _net_sum(2.0 * d.lam * p.significant(p.lambda1), d.alpha * p.significant(p.lambda2))
+
+
 def genericity_value(d: DegeneracyData, p: PerturbationData) -> float:
-    """The combination whose nonvanishing licenses a split at lambda0 = 0."""
+    """The combination whose nonvanishing licenses a split at lambda0 = 0 (0.0 if it vanishes)."""
     if d.k == 2:
-        return 2.0 * d.lam * p.lambda1 + d.alpha * p.lambda2
-    return p.lambda2
+        return _split_combination(d, p)
+    return p.significant(p.lambda2)
 
 
-def decide(d: DegeneracyData, p: PerturbationData, *, tol: float = DECISION_TOL) -> str:
+def decide(d: DegeneracyData, p: PerturbationData) -> str:
     """One of no-bifurcation | saddle-split | center-split | indeterminate.
 
+    Every zero test is relative, so scaling u0 or u1 changes no decision.
     Raises UnsupportedCaseError for S1 (the zero breaks into a
     saddle/center pair whose branch asymptotics are out of scope here)
     and for S5 (the case data leave the split undetermined).
@@ -90,9 +105,9 @@ def decide(d: DegeneracyData, p: PerturbationData, *, tol: float = DECISION_TOL)
             "case S5: lam^2*k + alpha*beta = 0, structure depends on "
             "indeterminate higher-order terms"
         )
-    if abs(p.lambda0) > tol:
+    if p.significant(p.lambda0) != 0.0:
         return "no-bifurcation"
-    if abs(genericity_value(d, p)) <= tol:
+    if genericity_value(d, p) == 0.0:
         return "indeterminate"
     return "saddle-split" if d.index == -1 else "center-split"
 
@@ -160,16 +175,14 @@ def _persistent_branch(d: DegeneracyData, p: PerturbationData) -> Branch:
     return Branch("x0", Fraction(1, m), coeff, kind)
 
 
-def branch_asymptotics(
-    d: DegeneracyData, p: PerturbationData, *, tol: float = DECISION_TOL
-) -> BranchPrediction:
+def branch_asymptotics(d: DegeneracyData, p: PerturbationData) -> BranchPrediction:
     """Predicted branches for the decided family.
 
     Split decisions yield three branches (x-, x0, x+); no-bifurcation
     yields the single persistent branch.  Indeterminate families carry no
     leading-order prediction and raise InvalidCaseDataError.
     """
-    decision = decide(d, p, tol=tol)
+    decision = decide(d, p)
     if decision == "indeterminate":
         raise InvalidCaseDataError(
             "indeterminate family: no leading-order branch data"
@@ -361,41 +374,25 @@ def _run_ladder(
     )
 
 
-def verify(
-    family: TimeFamily,
-    p0,
-    opts: SearchOptions = DEFAULT_SEARCH,
-    *,
-    tol: float = DECISION_TOL,
-    eps_scale: float = 1.0,
-    ladder=None,
-) -> Verification:
-    """Root counts/kinds/index sums across an eps ladder, with a verdict.
-
-    The base field must have a simple degenerate zero at p0.  Each rung
-    searches the frame-local field at offset eps in a box scaled to the
-    predicted branch separation.
-    """
-    return analyze(
-        family, p0, opts, tol=tol, eps_scale=eps_scale, ladder=ladder,
-        run_verification=True,
-    ).verification
-
-
 def analyze(
     family: TimeFamily,
     p0,
     opts: SearchOptions = DEFAULT_SEARCH,
     *,
-    tol: float = DECISION_TOL,
     eps_scale: float = 1.0,
     ladder=None,
     run_verification: bool = True,
 ) -> BifurcationReport:
-    """Full decision + branch table + optional ladder verification."""
+    """Full decision + branch table + optional ladder verification.
+
+    The base field must have a simple degenerate zero at p0.  The ladder
+    counts roots, kinds and index sums at each offset eps and gives a
+    verdict; each rung searches the frame-local field in a box scaled to
+    the predicted branch separation.
+    """
     d = extract_degeneracy(family.base, p0, opts)
     p = extract_perturbation(family.accel, d.frame)
-    decision = decide(d, p, tol=tol)
+    decision = decide(d, p)
     if decision == "indeterminate":
         verification = None
         if run_verification:
@@ -408,7 +405,7 @@ def analyze(
             ("lambda0 = 0 and the genericity combination vanishes; "
              "the split is not determined at first order",),
         )
-    pred = branch_asymptotics(d, p, tol=tol)
+    pred = branch_asymptotics(d, p)
     verification = None
     if run_verification:
         verification = _run_ladder(
@@ -434,8 +431,6 @@ def check_generic_membership(
     family: TimeFamily,
     p0,
     opts: SearchOptions = DEFAULT_SEARCH,
-    *,
-    tol: float = DECISION_TOL,
 ) -> GenericityReport:
     """Membership in the generic subset of the family's symmetry class.
 
@@ -477,23 +472,20 @@ def check_generic_membership(
         )
 
     p = extract_perturbation(accel, d.frame)
-    nondeg = d.lam**2 * d.k + d.alpha * d.beta
+    nondeg = _net_sum(d.lam**2 * d.k, d.alpha * d.beta) != 0.0
     if symmetry == "anti":
         checks = [
             ("contact order k = 3", d.k == 3),
             ("contact order n = 3", d.n == 3),
-            ("lam^2*k + alpha*beta != 0", abs(nondeg) > tol),
-            ("lambda2 != 0", abs(p.lambda2) > tol),
+            ("lam^2*k + alpha*beta != 0", nondeg),
+            ("lambda2 != 0", p.significant(p.lambda2) != 0.0),
         ]
     else:
         checks = [
             ("contact order k = 2", d.k == 2),
             ("contact order n = 3", d.n == 3),
-            ("lam^2*k + alpha*beta != 0", abs(nondeg) > tol),
-            (
-                "2*lam*lambda1 + alpha*lambda2 != 0",
-                abs(2 * d.lam * p.lambda1 + d.alpha * p.lambda2) > tol,
-            ),
+            ("lam^2*k + alpha*beta != 0", nondeg),
+            ("2*lam*lambda1 + alpha*lambda2 != 0", _split_combination(d, p) != 0.0),
         ]
     failed = tuple(name for name, ok in checks if not ok)
     return GenericityReport(symmetry, not failed, failed)

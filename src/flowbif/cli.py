@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__
-from .bifurcation import DECISION_TOL, DEFAULT_LADDER, analyze
+from .bifurcation import DEFAULT_LADDER, analyze
 from .errors import AnalysisRefusal, FlowbifError
 from .field import PolyVectorField, TimeFamily
 from .fieldfile import load_field_file
@@ -261,7 +261,6 @@ def _run_bifurcate(cfg: RunConfig) -> int:
         family,
         cfg.point,
         _search_opts(cfg),
-        tol=cfg.tol if cfg.tol is not None else DECISION_TOL,
         eps_scale=cfg.eps_scale,
         ladder=cfg.ladder,
         run_verification=not cfg.no_verify,

@@ -5,8 +5,10 @@ satisfy the coefficient identity
 
     (i+1) * u[i+1, j] + (j+1) * v[i, j+1] = 0   for all i, j >= 0,
 
-which ``check_divergence_free`` verifies exactly (up to an absolute
-tolerance for float-entered coefficients).  Construction is permissive:
+which ``check_divergence_free`` verifies up to rounding: a violation
+counts only above ``_DIVERGENCE_REL_TOL`` times the field's largest
+coefficient, so the verdict does not change with the field's amplitude.
+Construction is permissive:
 utility computations (winding numbers, root finding) are well defined for
 arbitrary polynomial fields, so nothing is rejected at build time.
 """
@@ -21,6 +23,7 @@ from .errors import FlowbifError
 from .poly import Poly2
 
 _DIVERGENCE_REL_TOL = 1e-12  # x the largest coefficient: no stream function above
+_SYMMETRY_REL_TOL = 1e-12  # x the largest coefficient: a term this small breaks no symmetry
 
 
 @dataclass(frozen=True)
@@ -124,8 +127,12 @@ class PolyVectorField:
     def divergence(self) -> Poly2:
         return self.u.dx() + self.v.dy()
 
-    def check_divergence_free(self, tol: float = 1e-12) -> DivergenceReport:
-        """Report the worst violation of the incompressibility identity."""
+    def max_abs_coef(self) -> float:
+        """Largest coefficient magnitude of u and v: the field's amplitude."""
+        return max(self.u.max_abs_coef(), self.v.max_abs_coef())
+
+    def check_divergence_free(self) -> DivergenceReport:
+        """The worst violation of the incompressibility identity; ok up to rounding."""
         div = self.divergence()
         worst = 0.0
         worst_term = None
@@ -133,23 +140,24 @@ class PolyVectorField:
             if abs(val) > worst:
                 worst = abs(val)
                 worst_term = (i, j)
-        return DivergenceReport(ok=worst <= tol, worst_violation=worst, worst_term=worst_term)
+        ok = worst <= _DIVERGENCE_REL_TOL * self.max_abs_coef()
+        return DivergenceReport(ok=ok, worst_violation=worst, worst_term=worst_term)
 
-    def check_antisymmetric(self, center=(0.0, 0.0), tol: float = 1e-12) -> bool:
+    def check_antisymmetric(self, center=(0.0, 0.0)) -> bool:
         """True iff u(c - x) = -u(c + x): only odd total-degree terms about the center."""
         f = self.in_frame(Frame(center, (1.0, 0.0), (0.0, 1.0)))
-        tol *= max(f.u.max_abs_coef(), f.v.max_abs_coef())  # relative to the recentred field
+        tol = _SYMMETRY_REL_TOL * f.max_abs_coef()  # relative to the recentred field
         for comp in (f.u, f.v):
             for (i, j), val in np.ndenumerate(comp.coef):
                 if (i + j) % 2 == 0 and abs(val) > tol:
                     return False
         return True
 
-    def check_reflectional(self, axis_origin=(0.0, 0.0), tol: float = 1e-12) -> bool:
+    def check_reflectional(self, axis_origin=(0.0, 0.0)) -> bool:
         """Mirror symmetry about the vertical axis through ``axis_origin``:
         u even in x, v odd in x (after recentering)."""
         f = self.in_frame(Frame(axis_origin, (1.0, 0.0), (0.0, 1.0)))
-        tol *= max(f.u.max_abs_coef(), f.v.max_abs_coef())  # relative to the recentred field
+        tol = _SYMMETRY_REL_TOL * f.max_abs_coef()  # relative to the recentred field
         for (i, _), val in np.ndenumerate(f.u.coef):
             if i % 2 == 1 and abs(val) > tol:
                 return False
@@ -195,13 +203,12 @@ class PolyVectorField:
         """Polynomial psi with (psi_y, -psi_x) = (u, v), psi(0, 0) = 0.
 
         Orbits are the level curves of psi, and the streamline tracer follows
-        them.  Psi exists only for a divergence-free field: a divergence
-        violation above 1e-12 of the largest coefficient of u and v raises
-        ``FlowbifError``.  Built once per field.
+        them.  Psi exists only for a divergence-free field: a field that
+        fails ``check_divergence_free`` raises ``FlowbifError``.  Built once
+        per field.
         """
         if self._psi is None:
-            scale = max(self.u.max_abs_coef(), self.v.max_abs_coef())
-            report = self.check_divergence_free(_DIVERGENCE_REL_TOL * scale)
+            report = self.check_divergence_free()
             if not report.ok:
                 i, j = report.worst_term
                 raise FlowbifError(
@@ -239,9 +246,7 @@ class TimeFamily:
     def at_offset(self, eps: float) -> PolyVectorField:
         return self.base - eps * self.accel
 
-    def check_divergence_free(self, tol: float = 1e-12) -> DivergenceReport:
-        r0 = self.base.check_divergence_free(tol)
-        r1 = self.accel.check_divergence_free(tol)
-        if r1.worst_violation > r0.worst_violation:
-            return r1
-        return r0
+    def check_divergence_free(self) -> DivergenceReport:
+        """A failing block's report, else the larger violation; each block at its own amplitude."""
+        reports = (self.base.check_divergence_free(), self.accel.check_divergence_free())
+        return max(reports, key=lambda r: (not r.ok, r.worst_violation))

@@ -24,7 +24,7 @@ proves a component nonzero, or when the boundary winding is reliably zero
 with no paired sign changes.  Surviving cells are refined to the finest
 level, and damped Newton polishes the centres of all of them at once: the
 seeds advance in lockstep on arrays, each under its own step rules, so a
-seed ends on the same bits as it would alone (``newton_polish``).
+seed ends on the same bits as it would alone (``_polish``).
 Polished candidates within ``_CLUSTER_RADIUS`` of each other are merged by
 single linkage into one zero.
 Near-degenerate groups are then solved from the frame coefficients that
@@ -55,6 +55,7 @@ _CLUSTER_RADIUS = 1e-6  # candidates closer than this are one zero
 _DET_TOL = 1e-9  # |det(J / |J|)| at or below this is degenerate
 _NEWTON_MAX_ITER = 50  # damped Newton steps per seed
 _COEF_TOL = 1e-9  # x the largest coefficient: a frame coefficient or invariant this small is 0
+_MAX_CELLS = 1_000_000  # subdivision cells one search may visit
 
 CASE_INDEX = {"S1": 0, "S2": -1, "S3": 1, "S4": -1, "S5": None, "S6": 1, "S7": -1}
 
@@ -64,7 +65,6 @@ class SearchOptions:
     """Tunables for root isolation and classification."""
 
     res_tol: float = 1e-10  # x the largest coefficient: Newton residual a zero must reach
-    max_cells: int = 1_000_000
 
 
 DEFAULT_SEARCH = SearchOptions()
@@ -111,6 +111,16 @@ def make_normal_form(alpha: float, beta: float, lam: float, k: int, n: int) -> P
     return PolyVectorField(u, v)
 
 
+def _net_sum(a: float, b: float) -> float:
+    """a + b, or exactly 0.0 when it is at most ``_COEF_TOL`` x (|a| + |b|).
+
+    The cancellation test of every two-term combination a decision reads: a
+    sum that small is rounding left by terms that cancel, at any amplitude.
+    """
+    total = a + b
+    return 0.0 if abs(total) <= _COEF_TOL * (abs(a) + abs(b)) else total
+
+
 def case_label(
     alpha: float,
     beta: float,
@@ -128,9 +138,8 @@ def case_label(
     if 2 * k > n + 1:
         label = "S1" if n % 2 == 0 else ("S2" if alpha * beta > 0 else "S3")
     elif 2 * k == n + 1:
-        disc = lam * lam * k + alpha * beta
-        near_zero = abs(disc) <= _COEF_TOL * (lam * lam * k + abs(alpha * beta))
-        label = "S5" if near_zero else ("S4" if disc > 0 else "S6")
+        disc = _net_sum(lam * lam * k, alpha * beta)
+        label = "S5" if disc == 0.0 else ("S4" if disc > 0 else "S6")
     else:
         label = "S7"
     return label, CASE_INDEX[label]
@@ -159,7 +168,7 @@ def extract_degeneracy(
     lam^2*k + alpha*beta, so the label does not depend on the e1 choice.
     """
     p = np.asarray(p, dtype=float).reshape(2)
-    amp = max(field.u.max_abs_coef(), field.v.max_abs_coef())
+    amp = field.max_abs_coef()
     res = float(np.hypot(*field(p)))
     if res > max(opts.res_tol, 1e-12) * amp:
         raise InvalidCaseDataError(f"point is not a zero: |field| = {res:.3g}")
@@ -180,8 +189,7 @@ def extract_degeneracy(
 
     frame = Frame(p, e1, e2)
     w = field.in_frame(frame)
-    coef_scale = max(w.u.max_abs_coef(), w.v.max_abs_coef())
-    thresh = _COEF_TOL * coef_scale
+    thresh = _COEF_TOL * w.max_abs_coef()
 
     k = lam = None
     for m in range(2, w.u.coef.shape[0]):
@@ -231,23 +239,6 @@ def classify_point(
 
 # ---------------------------------------------------------------------------
 # Newton polishing
-
-
-def newton_polish(
-    field: PolyVectorField, p0, opts: SearchOptions = DEFAULT_SEARCH
-) -> tuple[np.ndarray, float]:
-    """Damped Newton from p0, iterated to numerical convergence: (point, residual).
-
-    The one-seed call of the lockstep polish that ``find_singular_points``
-    runs on all its seeds at once (``_polish``), so it gives the same bits
-    as the search does for this seed.  Damping halves the step while the
-    residual would increase.  Near simple degenerate zeros convergence is
-    geometric with ratio (k-1)/k and stalls short of the zero;
-    ``_refine_degenerate`` finishes those candidates.  ``opts`` is unused
-    here; perfbench reads ``opts.res_tol`` from the call to judge acceptance.
-    """
-    x, r = _polish(field, np.asarray(p0, dtype=float).reshape(1, 2))
-    return x[0], float(r[0])
 
 
 def _steps(jac: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -347,7 +338,7 @@ def _refine_degenerate(field: PolyVectorField, p0, radius: float, known: dict) -
     ``known`` maps the order-(2, 2) solutions already raised to their zeros.
     Returns p0 if the order-(2, 2) solve fails.
     """
-    tol = _COEF_TOL * max(field.u.max_abs_coef(), field.v.max_abs_coef())
+    tol = _COEF_TOL * field.max_abs_coef()
     second = [(c.dx().dx(), c.dx().dy(), c.dy().dy()) for c in (field.u, field.v)]
 
     def order22(p, phi):
@@ -469,7 +460,7 @@ def find_singular_points(
 
     Every finest-level cell that survives the subdivision seeds damped
     Newton; the seeds are polished together in lockstep (``_polish``) and
-    each ends where ``newton_polish`` from it alone would.
+    each ends where a polish from it alone would.
 
     Completeness is claimed for zeros whose pairwise separation exceeds the
     finest subdivision cell (box diameter / 2**max_depth); zeros hidden
@@ -499,8 +490,8 @@ def find_singular_points(
         if cx.size == 0:
             break
         cells_seen += cx.size
-        if cells_seen > opts.max_cells:
-            raise BudgetExceededError(f"subdivision exceeded {opts.max_cells} cells")
+        if cells_seen > _MAX_CELLS:
+            raise BudgetExceededError(f"subdivision exceeded {_MAX_CELLS} cells")
         hx = 0.5 * w / (1 << depth)
         hy = 0.5 * h / (1 << depth)
         r_cell = float(np.hypot(hx, hy))
@@ -539,7 +530,7 @@ def find_singular_points(
             cx, cy = qx, qy
 
     # polish, filter, group; groups that refine to one zero share its array
-    amp = max(field.u.max_abs_coef(), field.v.max_abs_coef())
+    amp = field.max_abs_coef()
     slack = 1e-9 * max(w, h)
     pts, res = _polish(field, seeds)
     keep = ~(res > opts.res_tol * amp)

@@ -14,6 +14,7 @@ from flowbif import (
     Poly2,
     PolyVectorField,
     TimeFamily,
+    analyze,
     branch_asymptotics,
     check_generic_membership,
     decide,
@@ -22,14 +23,14 @@ from flowbif import (
     extract_perturbation,
     find_singular_points,
     index_sum,
+    parse_field_file,
     signature,
-    verify,
     winding_index,
 )
 from flowbif.singular import make_normal_form
 
 import gridsearch
-from conftest import field
+from conftest import GALLERY, field
 
 
 def _report(line: str) -> None:
@@ -96,7 +97,7 @@ def test_criterion_2_index_invariance_under_perturbation():
 
 
 def test_criterion_3_no_bifurcation_family():
-    ver = verify(PERSISTENT, (0.0, 0.0))
+    ver = analyze(PERSISTENT, (0.0, 0.0)).verification
     assert ver.verdict == "confirmed"
     assert set(ver.root_counts) == {1}
     assert set(ver.type_counts) == {("saddle",)}
@@ -123,7 +124,7 @@ def test_criterion_3_no_bifurcation_family():
 
 def test_criterion_4_saddle_split_asymptotics():
     fam = SPLITS["k2n3"]
-    ver = verify(fam, (0.0, 0.0))
+    ver = analyze(fam, (0.0, 0.0)).verification
     assert ver.verdict == "confirmed"
     assert set(ver.index_sums) == {-1}
     counts = sorted(set(ver.root_counts))
@@ -154,7 +155,7 @@ def test_criterion_4_saddle_split_asymptotics():
 
 def test_criterion_5_center_split_figure_eight():
     fam = SPLITS["k3n3"]
-    ver = verify(fam, (0.0, 0.0), eps_scale=0.1)
+    ver = analyze(fam, (0.0, 0.0), eps_scale=0.1).verification
     assert ver.verdict == "confirmed"
     assert set(ver.index_sums) == {1}
     for kinds, count in zip(ver.type_counts, ver.root_counts):
@@ -175,7 +176,7 @@ def test_criterion_5_center_split_figure_eight():
 def test_criterion_6_branch_exponents_per_regime():
     measured = {}
     for name, fam in SPLITS.items():
-        ver = verify(fam, (0.0, 0.0), eps_scale=EPS_SCALE.get(name, 1.0))
+        ver = analyze(fam, (0.0, 0.0), eps_scale=EPS_SCALE.get(name, 1.0)).verification
         assert ver.verdict == "confirmed", name
 
         _, _, pred = _prediction(fam)
@@ -241,40 +242,70 @@ def test_criterion_7_symmetry_parity_of_contact_orders():
     _report("criterion 7 (parity over 200 anti + 200 reflectional fields): PASS")
 
 
+# criterion 8: one generic family per symmetry class, then single violations
+ANTI_OK = TimeFamily(make_normal_form(1, 1, 1, 3, 3), field({}, {(1, 0): 1.0}))
+REFL_OK = TimeFamily(make_normal_form(1, 1, 1, 2, 3), field({(0, 0): 1.0}, {}))
+VIOLATIONS = [
+    # anti class: break exactly one of k, n, nondegeneracy, lambda2
+    (TimeFamily(make_normal_form(1, 1, 1, 5, 3), field({}, {(1, 0): 1.0})),
+     "contact order k = 3"),
+    (TimeFamily(make_normal_form(1, 1, 1, 3, 5), field({}, {(1, 0): 1.0})),
+     "contact order n = 3"),
+    (TimeFamily(make_normal_form(1, -3, 1, 3, 3), field({}, {(1, 0): 1.0})),
+     "lam^2*k + alpha*beta != 0"),
+    (TimeFamily(make_normal_form(1, 1, 1, 3, 3), field({}, {(3, 0): 1.0})),
+     "lambda2 != 0"),
+    # reflectional class
+    (TimeFamily(make_normal_form(1, 1, 1, 4, 3), field({(0, 0): 1.0}, {})),
+     "contact order k = 2"),
+    (TimeFamily(make_normal_form(1, 1, 1, 2, 5), field({(0, 0): 1.0}, {})),
+     "contact order n = 3"),
+    (TimeFamily(make_normal_form(1, -2, 1, 2, 3), field({(0, 0): 1.0}, {})),
+     "lam^2*k + alpha*beta != 0"),
+    (TimeFamily(make_normal_form(1, 1, 1, 2, 3), field({(2, 0): 1.0}, {(1, 1): -2.0})),
+     "2*lam*lambda1 + alpha*lambda2 != 0"),
+]
+
+
 def test_criterion_8_genericity_membership():
-    anti_ok = TimeFamily(make_normal_form(1, 1, 1, 3, 3), field({}, {(1, 0): 1.0}))
-    rep = check_generic_membership(anti_ok, (0.0, 0.0))
+    rep = check_generic_membership(ANTI_OK, (0.0, 0.0))
     assert (rep.symmetry, rep.in_generic_subset) == ("anti", True)
 
-    refl_ok = TimeFamily(make_normal_form(1, 1, 1, 2, 3), field({(0, 0): 1.0}, {}))
-    rep = check_generic_membership(refl_ok, (0.0, 0.0))
+    rep = check_generic_membership(REFL_OK, (0.0, 0.0))
     assert (rep.symmetry, rep.in_generic_subset) == ("reflectional", True)
 
-    violations = [
-        # anti class: break exactly one of k, n, nondegeneracy, lambda2
-        (TimeFamily(make_normal_form(1, 1, 1, 5, 3), field({}, {(1, 0): 1.0})),
-         "contact order k = 3"),
-        (TimeFamily(make_normal_form(1, 1, 1, 3, 5), field({}, {(1, 0): 1.0})),
-         "contact order n = 3"),
-        (TimeFamily(make_normal_form(1, -3, 1, 3, 3), field({}, {(1, 0): 1.0})),
-         "lam^2*k + alpha*beta != 0"),
-        (TimeFamily(make_normal_form(1, 1, 1, 3, 3), field({}, {(3, 0): 1.0})),
-         "lambda2 != 0"),
-        # reflectional class
-        (TimeFamily(make_normal_form(1, 1, 1, 4, 3), field({(0, 0): 1.0}, {})),
-         "contact order k = 2"),
-        (TimeFamily(make_normal_form(1, 1, 1, 2, 5), field({(0, 0): 1.0}, {})),
-         "contact order n = 3"),
-        (TimeFamily(make_normal_form(1, -2, 1, 2, 3), field({(0, 0): 1.0}, {})),
-         "lam^2*k + alpha*beta != 0"),
-        (TimeFamily(make_normal_form(1, 1, 1, 2, 3), field({(2, 0): 1.0}, {(1, 1): -2.0})),
-         "2*lam*lambda1 + alpha*lambda2 != 0"),
-    ]
-    for fam, want in violations:
+    for fam, want in VIOLATIONS:
         rep = check_generic_membership(fam, (0.0, 0.0))
         assert not rep.in_generic_subset
         assert rep.failed_conditions == (want,), rep.failed_conditions
     _report("criterion 8 (genericity membership and single violations): PASS")
+
+
+def _scaled(fam, a, b):
+    return TimeFamily(fam.base * a, fam.accel * b, fam.t0)
+
+
+def test_decision_is_amplitude_invariant():
+    # the decisions ask whether coefficients vanish, which no amplitude changes
+    amplitudes = (1e-14, 1e-7, 1.0, 1e7, 1e14)
+    changed = []
+    for path in sorted(GALLERY.glob("*.family")):
+        fam = parse_field_file(path)
+        answers = {}
+        for a in amplitudes:
+            for b in amplitudes:
+                rep = analyze(_scaled(fam, a, b), (0.0, 0.0), run_verification=False)
+                d = rep.degeneracy
+                answers[a, b] = (rep.decision, rep.side, d.case_label, d.index)
+        want = answers[1.0, 1.0]
+        changed += [(path.stem, *ab, got) for ab, got in answers.items() if got != want]
+    assert changed == []
+
+    for fam in (ANTI_OK, REFL_OK, *(f for f, _ in VIOLATIONS)):
+        want = check_generic_membership(fam, (0.0, 0.0))
+        for a in (1e-14, 1e14):
+            assert check_generic_membership(_scaled(fam, a, a), (0.0, 0.0)) == want, a
+    _report("amplitude invariance (5 gallery families x 25 scalings, criterion 8): PASS")
 
 
 def test_criterion_9_decision_matches_signature_change():

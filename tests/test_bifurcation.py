@@ -19,7 +19,6 @@ from flowbif import (
     extract_degeneracy,
     extract_perturbation,
     find_singular_points,
-    verify,
 )
 from flowbif.bifurcation import genericity_value
 from flowbif.singular import make_normal_form
@@ -147,7 +146,7 @@ def test_outer_branches_are_mirror_images(alpha, beta, lam, l1, l2):
 
 
 def test_verify_saddle_split_confirmed(saddle_split_family):
-    ver = verify(saddle_split_family, (0.0, 0.0))
+    ver = analyze(saddle_split_family, (0.0, 0.0)).verification
     assert ver.verdict == "confirmed"
     three = [c for c in ver.root_counts if c == 3]
     one = [c for c in ver.root_counts if c == 1]
@@ -161,7 +160,7 @@ def test_verify_saddle_split_confirmed(saddle_split_family):
 
 
 def test_verify_persistent_confirmed(persistent_family):
-    ver = verify(persistent_family, (0.0, 0.0))
+    ver = analyze(persistent_family, (0.0, 0.0)).verification
     assert ver.verdict == "confirmed"
     assert set(ver.root_counts) == {1}
     assert all(list(k) == ["saddle"] for k in ver.type_counts)
@@ -169,15 +168,15 @@ def test_verify_persistent_confirmed(persistent_family):
 
 def test_verify_center_split_needs_tight_boxes(center_split_family):
     # default boxes at eps = 1e-2 swallow a far-field saddle pair near |x| = 0.57
-    wide = verify(center_split_family, (0.0, 0.0))
+    wide = analyze(center_split_family, (0.0, 0.0)).verification
     assert wide.verdict != "confirmed"
-    tight = verify(center_split_family, (0.0, 0.0), eps_scale=0.1)
+    tight = analyze(center_split_family, (0.0, 0.0), eps_scale=0.1).verification
     assert tight.verdict == "confirmed"
     assert all(s == 1 for s in tight.index_sums)
 
 
 def test_verify_errors_shrink_with_eps(center_split_family):
-    ver = verify(center_split_family, (0.0, 0.0), eps_scale=0.1)
+    ver = analyze(center_split_family, (0.0, 0.0), eps_scale=0.1).verification
     carrying = [
         max(errs)
         for count, errs in zip(ver.root_counts, ver.asymptotic_errors)
@@ -209,7 +208,6 @@ def test_analyze_indeterminate_reports_and_skips_ladder():
     assert rep.decision == "indeterminate"
     assert rep.branches == ()
     assert rep.verification.verdict == "inconclusive"
-    assert verify(fam, (0.0, 0.0)) == rep.verification
 
 
 # ---------------------------------------------------------------------------

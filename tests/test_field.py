@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flowbif import Frame, Poly2, PolyVectorField, TimeFamily
+from flowbif import FlowbifError, Frame, Poly2, PolyVectorField, TimeFamily, parse_field_file
 from flowbif.singular import make_normal_form
 
-from conftest import field, rng
+from conftest import GALLERY, field, rng
 
 
 def test_divergence_ok_example():
@@ -20,6 +20,32 @@ def test_divergence_violation_reported_not_raised():
     assert not rep.ok
     assert rep.worst_violation == pytest.approx(2.0)
     assert rep.worst_term == (0, 0)
+
+
+def test_divergence_check_agrees_with_stream_function():
+    # one relative rule: the check passes exactly when a stream function exists
+    fields = [parse_field_file(path) for path in sorted(GALLERY.glob("*.field"))]
+    # S4 at amplitude 1e-14 plus the source term 1e-20 x, and at 1e6 with u's x^2 an ulp off
+    tiny = parse_field_file(GALLERY / "s4.field") * 1e-14 + field({(1, 0): 1e-20}, {})
+    big = field({(0, 1): 1e6, (2, 0): np.nextafter(1e6, 2e6)}, {(1, 1): -2e6, (3, 0): 1e6})
+    disagree = []
+    for i, f in enumerate([*fields, tiny, big]):
+        for e in range(-14, 15, 2):
+            scaled = f * 10.0**e
+            ok = scaled.check_divergence_free().ok
+            try:
+                scaled.stream_function()
+            except FlowbifError:
+                has_psi = False
+            else:
+                has_psi = True
+            if ok != has_psi:
+                disagree.append((i, e, ok))
+    assert disagree == []
+    assert not tiny.check_divergence_free().ok and big.check_divergence_free().ok
+    # a family judges each block against its own amplitude
+    rep = TimeFamily(big, tiny).check_divergence_free()
+    assert not rep.ok and rep.worst_violation == pytest.approx(1e-20)
 
 
 @given(

@@ -14,12 +14,11 @@ from flowbif import (
     classify_point,
     extract_degeneracy,
     find_singular_points,
-    newton_polish,
     winding_index,
 )
+from flowbif import singular
 from flowbif.singular import (
     CASE_INDEX,
-    SearchOptions,
     _cluster,
     _polish,
     case_label,
@@ -147,7 +146,7 @@ def test_classify_nondegenerate():
 
 def test_newton_polish_converges():
     f = field({(2, 0): 1.0, (0, 0): -1.0}, {(1, 1): -2.0})
-    p, residual = newton_polish(f, (1.2, 0.1))
+    (p,), (residual,) = _polish(f, np.array([(1.2, 0.1)]))
     assert residual < 1e-13
     assert np.allclose(p, (1.0, 0.0), atol=1e-12)
 
@@ -200,7 +199,7 @@ def test_lockstep_polish_is_bitwise_the_per_seed_reference(degree, seed):
         xs, rs = _polish(f, seeds[order])
         assert (_bits(xs) == _bits(x[order])).all() and (_bits(rs) == _bits(r[order])).all()
         for s, qx, qr in zip(seeds, x, r):
-            px, pr = newton_polish(f, s)
+            (px,), (pr,) = _polish(f, s[None, :])
             assert (_bits(px) == _bits(qx)).all() and _bits(pr) == _bits(qr)
 
 
@@ -251,11 +250,10 @@ def test_find_separated_zeros():
     assert np.allclose([p.location[0] for p in pts], [-1.0, 1.0], atol=1e-10)
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
+    monkeypatch.setattr(singular, "_MAX_CELLS", 8)
     with pytest.raises(BudgetExceededError):
-        find_singular_points(
-            make_normal_form(1, 1, 1, 2, 3), BOX, SearchOptions(max_cells=8)
-        )
+        find_singular_points(make_normal_form(1, 1, 1, 2, 3), BOX)
 
 
 def test_cluster_radius_merges_near_roots(saddle_split_family):
