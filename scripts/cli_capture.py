@@ -24,7 +24,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from flowbif import (  # noqa: E402
-    Frame, TimeFamily, family_to_text, field_to_text, parse_field_file,
+    Frame, Poly2, PolyVectorField, TimeFamily, family_to_text, field_to_text, parse_field_file,
 )
 from flowbif.cli import main  # noqa: E402
 from flowbif.singular import make_normal_form  # noqa: E402
@@ -45,6 +45,18 @@ def _moved_s2() -> str:
     origin = -rot.T @ (0.3, -0.2)
     moved = make_normal_form(1, 1, 1, 3, 3).in_frame(Frame.rotation(origin, -1.0)) * 1e-3
     return field_to_text(moved, "moved_s2")
+
+
+def _hidden_pair() -> str:
+    """u = (y, x^2 - d^2), d = 40 * 2^-14, moved unturned to (-0.31, 0.27).
+
+    Its center and saddle share one 0.5-wide cell of the search's first level.
+    """
+    d = 40 * 2.0**-14
+    pair = PolyVectorField(
+        Poly2.from_terms({(0, 1): 1.0}), Poly2.from_terms({(2, 0): 1.0, (0, 0): -d * d})
+    )
+    return field_to_text(pair.in_frame(Frame.rotation((0.31, -0.27), 0.0)), "hidden_pair")
 
 
 def _scaled_center_split(a: float) -> str:
@@ -72,6 +84,7 @@ INPUTS = {
     "big_s4.field": "field big_s4\nu 0 1 1e6\nu 2 0 1000000.0000000001\n"
     "v 1 1 -2e6\nv 3 0 1e6\n",
     "tiny_center_split.family": _scaled_center_split(1e-14),
+    "hidden_pair.field": _hidden_pair(),
 }
 
 COMMANDS = (
@@ -159,6 +172,10 @@ COMMANDS = (
         ("check", "{out}/inputs/big_s4.field"),
         ("classify", "{out}/inputs/big_s4.field"),
         ("bifurcate", "{out}/inputs/tiny_center_split.family", "--point", "0", "0", "--no-verify"),
+        # zeros the search must not discard: a close pair in one coarse cell, and
+        # the flat-valley ladder rungs
+        ("classify", "{out}/inputs/hidden_pair.field"),
+        ("bifurcate", SPLIT, "--point", "0", "0", "--tol", "1e-5"),
     ]
 )
 

@@ -220,10 +220,6 @@ class PolyVectorField:
             self._psi = self.u.integrate_y() - v_row0.integrate_x()
         return self._psi
 
-    def gradient_bound(self, half_extent: float) -> tuple[float, float]:
-        """Per-component bounds on |grad u|, |grad v| over max(|x|,|y|) <= half_extent."""
-        return self.u.grad_bound(half_extent), self.v.grad_bound(half_extent)
-
     def __repr__(self) -> str:
         return f"PolyVectorField(u={self.u!r}, v={self.v!r})"
 

@@ -204,23 +204,6 @@ class Poly2:
             out = X * out + r
         return out
 
-    # -- bounds -------------------------------------------------------
-
-    def abs_bound(self, m: float) -> float:
-        """Bound on |p| over the square max(|x|, |y|) <= m."""
-        c = np.abs(self.coef)
-        fi = m ** np.arange(c.shape[0])
-        fj = m ** np.arange(c.shape[1])
-        return float(np.sum(c * fi[:, None] * fj[None, :]))
-
-    def grad_bound(self, m: float) -> float:
-        """Bound on |grad p| (2-norm) over max(|x|, |y|) <= m."""
-        total = 0.0
-        for (i, j), val in np.ndenumerate(self.coef):
-            if val != 0.0 and i + j >= 1:
-                total += abs(val) * (i + j) * m ** (i + j - 1)
-        return total
-
     # -- misc ---------------------------------------------------------
 
     def allclose(self, other: "Poly2", tol: float = 1e-12) -> bool:

@@ -19,12 +19,12 @@ The invariants (alpha, beta, lam, k, n) decide one of seven cases:
     S7: 2k < n+1                    -> index -1
 
 where a*b abbreviates alpha*beta.  Root finding uses recursive box
-subdivision: cells are discarded when a coefficient-level gradient bound
-proves a component nonzero, or when the boundary winding is reliably zero
-with no paired sign changes.  Surviving cells are refined to the finest
-level, and damped Newton polishes the centres of all of them at once: the
-seeds advance in lockstep on arrays, each under its own step rules, so a
-seed ends on the same bits as it would alone (``_polish``).
+subdivision: a cell is discarded only when the Bernstein coefficients of u
+or of v on it prove it free of zeros (``_no_zero``), so no cell that holds
+a zero is discarded.  Surviving cells are refined to the finest level, and
+damped Newton polishes the centres of all of them at once: the seeds
+advance in lockstep on arrays, each under its own step rules, so a seed
+ends on the same bits as it would alone (``_polish``).
 Polished candidates within ``_CLUSTER_RADIUS`` of each other are merged by
 single linkage into one zero.
 Near-degenerate groups are then solved from the frame coefficients that
@@ -35,21 +35,21 @@ relative to the field's largest coefficient.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     BudgetExceededError,
+    FlowbifError,
     InvalidCaseDataError,
     IsolationOrderError,
     NotSimpleError,
 )
 from .field import Frame, PolyVectorField
 from .poly import Poly2
-from .winding import _ANGLE_CAP, _angle_steps
 
-_MAG_RATIO = 1e-3  # boundary magnitude ratio below which a cell winding is unreliable
 _MAX_DEPTH = 14  # finest subdivision level
 _CLUSTER_RADIUS = 1e-6  # candidates closer than this are one zero
 _DET_TOL = 1e-9  # |det(J / |J|)| at or below this is degenerate
@@ -389,28 +389,74 @@ def _refine_degenerate(field: PolyVectorField, p0, radius: float, known: dict) -
 # ---------------------------------------------------------------------------
 # subdivision search
 
-# Unit-square boundary offsets, counterclockwise, corners included once.
-_EDGE_SAMPLES = 8
+_BLOCK_CELLS = 4096  # cells expanded at once, so that memory stays flat at degree 18
 
 
-def _boundary_offsets(m: int = _EDGE_SAMPLES) -> np.ndarray:
-    t = np.arange(m) / m
-    bottom = np.column_stack([-1 + 2 * t, -np.ones(m)])
-    right = np.column_stack([np.ones(m), -1 + 2 * t])
-    top = np.column_stack([1 - 2 * t, np.ones(m)])
-    left = np.column_stack([-np.ones(m), 1 - 2 * t])
-    return np.concatenate([bottom, right, top, left])
+@functools.cache
+def _bernstein(n: int) -> np.ndarray:
+    """M with s^k = sum_m M[k, m] C(n, m) t^m (1 - t)^(n - m), t = (s + 1) / 2.
+
+    Each entry is an exact integer sum divided once; |M| <= 1 (Vandermonde).
+    """
+    def entry(k, m):
+        terms = (math.comb(k, p) * (-1) ** (k - p) * math.comb(n - k, m - p) for p in range(m + 1))
+        return sum(terms) / math.comb(n, m)
+
+    out = np.array([[entry(k, m) for m in range(n + 1)] for k in range(n + 1)])
+    out.setflags(write=False)  # cached: shared by every search
+    return out
 
 
-_OFFSETS = _boundary_offsets()
+def _taylor_shift(c: np.ndarray, h: float, n: int) -> np.ndarray:
+    """Stacked V[i, a] = C(i, a) c^(i - a) h^a: x^i = sum_a V[i, a] s^a at x = c + h s."""
+    i, a = np.indices((n, n))
+    binom = np.frompyfunc(math.comb, 2, 1)(i, a).astype(float)
+    powers = np.cumprod(np.column_stack([np.ones_like(c)] + [c] * (n - 1)), axis=1)
+    return binom * np.cumprod([1.0] + [h] * (n - 1)) * powers[:, np.maximum(i - a, 0)]
 
 
-def _sign_changes(a: np.ndarray) -> np.ndarray:
-    """Rows with any sign change along axis 1 (wraparound included)."""
-    s = np.sign(a)
-    s[s == 0] = 1.0
-    wrapped = np.concatenate([s, s[:, :1]], axis=1)
-    return np.any(wrapped[:, 1:] != wrapped[:, :-1], axis=1)
+def _no_zero(coef: np.ndarray, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
+    """Cells, given by their Taylor shifts, on which the polynomial provably has no zero.
+
+    On a cell, the polynomial is a convex combination of its Bernstein
+    coefficients B = Mxᵀ Vxᵀ C Vy My, so B of one strict sign exclude a
+    zero (Mourrain & Pavone, JSC 2009).  Rounding, with dx, dy the degrees
+    and u = eps / 2: an entry of Vx takes at most dx roundings (of Vy, dy),
+    each of the four products one per term of its inner length (dx + 1 or
+    dy + 1) and an entry of M one; as |M| <= 1, a computed B is within
+    (3 dx + 3 dy + 6) u S of the exact one, where
+    S = sum |C[i, j]| (|cx| + hx)^i (|cy| + hy)^j.  The margin is
+    4 (dx + dy + 4) eps S, over twice that, plus
+    2^(2 dx + 2 dy - 1000) (1 + max |C|) max(1, X^dx) max(1, Y^dy) with
+    X = |cx| + hx, Y = |cy| + hy, which bounds what results that underflow
+    (at most 2^-1075 each) can add.  A cell goes when its B all exceed the
+    margin with one sign.
+    """
+    nx, ny = coef.shape
+    tx, ty = vx[:, :nx, :nx], vy[:, :ny, :ny]
+    b = _bernstein(nx - 1).T @ (tx.transpose(0, 2, 1) @ coef @ ty) @ _bernstein(ny - 1)
+    px, py = np.abs(tx).sum(axis=2), np.abs(ty).sum(axis=2)  # (|c| + h)^i
+    s = ((px @ np.abs(coef)) * py).sum(axis=1)
+    if not (np.isfinite(s).all() and np.isfinite(b).all()):
+        raise FlowbifError("field is not finite on the box")
+    under = np.ldexp(1.0 + np.abs(coef).max(), 2 * (nx + ny - 2) - 1000)
+    margin = 4 * (nx + ny + 2) * np.finfo(float).eps * s
+    margin = (margin + under * np.maximum(px[:, -1], 1) * np.maximum(py[:, -1], 1))[:, None, None]
+    return (b > margin).all(axis=(1, 2)) | (b < -margin).all(axis=(1, 2))
+
+
+def _may_vanish(field: PolyVectorField, cx: np.ndarray, cy: np.ndarray, hx: float, hy: float):
+    """Cells [cx ± hx] x [cy ± hy] not proven free of zeros of u or of v."""
+    n = max(field.u.coef.shape + field.v.coef.shape)
+    live = np.ones(cx.size, dtype=bool)
+    for lo in range(0, cx.size, _BLOCK_CELLS):
+        with np.errstate(over="ignore", invalid="ignore"):  # _no_zero reports overflow
+            vx = _taylor_shift(cx[lo : lo + _BLOCK_CELLS], hx, n)
+            vy = _taylor_shift(cy[lo : lo + _BLOCK_CELLS], hy, n)
+            block = ~_no_zero(field.u.coef, vx, vy)
+            block[block] = ~_no_zero(field.v.coef, vx[block], vy[block])
+        live[lo : lo + _BLOCK_CELLS] = block
+    return live
 
 
 def _cluster(cands: list[tuple[np.ndarray, float]], radius: float):
@@ -462,72 +508,46 @@ def find_singular_points(
     Newton; the seeds are polished together in lockstep (``_polish``) and
     each ends where a polish from it alone would.
 
+    No cell that holds a zero is discarded (``_no_zero``), and the cells,
+    padded against the rounding of their centres, cover the box.
     Completeness is claimed for zeros whose pairwise separation exceeds the
-    finest subdivision cell (box diameter / 2**max_depth); zeros hidden
-    behind cancelling boundary data finer than that can in principle be
-    missed, which the brute-force checks in the test-suite guard against
-    for the families analysed here.
+    finest subdivision cell (box diameter / 2**max_depth): closer zeros can
+    share the leaves that seed them, and Newton need not reach each, which
+    the brute-force checks in the test-suite guard against for the
+    families analysed here.  A box that is not finite raises
+    ``ValueError``, a field that overflows on it ``FlowbifError``.
     """
     x0, y0, x1, y1 = (float(b) for b in box)
+    w, h = x1 - x0, y1 - y0
+    if not np.isfinite([x0, y0, x1, y1, w, h]).all():
+        raise ValueError("box corners and extent must be finite")
     if not (x1 > x0 and y1 > y0):
         raise ValueError("box must satisfy x0 < x1 and y0 < y1")
-    w, h = x1 - x0, y1 - y0
-    half_extent = max(abs(x0), abs(x1), abs(y0), abs(y1))
-    bound_u, bound_v = field.gradient_bound(half_extent)
+    # rounded centres leave gaps between cells; padded, the cells cover the box
+    pad = 64 * np.finfo(float).eps * max(abs(x0), abs(x1), abs(y0), abs(y1))
 
     start_depth = 2
     max_depth = max(_MAX_DEPTH, start_depth)
     ncell0 = 1 << start_depth
     cx, cy = np.meshgrid(
-        x0 + (np.arange(ncell0) + 0.5) * w / ncell0,
-        y0 + (np.arange(ncell0) + 0.5) * h / ncell0,
+        x0 + (np.arange(ncell0) + 0.5) * (w / ncell0),
+        y0 + (np.arange(ncell0) + 0.5) * (h / ncell0),
     )
     cx, cy = cx.ravel(), cy.ravel()
 
-    seeds = np.empty((0, 2))
     cells_seen = 0
     for depth in range(start_depth, max_depth + 1):
-        if cx.size == 0:
-            break
         cells_seen += cx.size
         if cells_seen > _MAX_CELLS:
             raise BudgetExceededError(f"subdivision exceeded {_MAX_CELLS} cells")
         hx = 0.5 * w / (1 << depth)
         hy = 0.5 * h / (1 << depth)
-        r_cell = float(np.hypot(hx, hy))
-
-        fu, fv = field.evaluate_many(cx, cy)
-        possible = ~((np.abs(fu) > bound_u * r_cell) | (np.abs(fv) > bound_v * r_cell))
-        cx, cy = cx[possible], cy[possible]
-        if cx.size == 0:
-            continue
-
-        px = cx[:, None] + _OFFSETS[None, :, 0] * hx
-        py = cy[:, None] + _OFFSETS[None, :, 1] * hy
-        bu, bv = field.evaluate_many(px, py)
-        bu = np.concatenate([bu, bu[:, :1]], axis=1)
-        bv = np.concatenate([bv, bv[:, :1]], axis=1)
-        mag = np.hypot(bu, bv)
-        minmag = mag.min(axis=1)
-        maxmag = mag.max(axis=1)
-        steps = _angle_steps(bu, bv)
-        with np.errstate(invalid="ignore"):
-            winding = np.rint(steps.sum(axis=1) / (2 * np.pi)).astype(int)
-        reliable = (np.abs(steps).max(axis=1) < _ANGLE_CAP) & (
-            minmag > _MAG_RATIO * np.maximum(maxmag, 1e-300)
-        )
-        paired = _sign_changes(bu[:, :-1]) & _sign_changes(bv[:, :-1])
-        discard = reliable & (winding == 0) & ~paired
-        cx, cy = cx[~discard], cy[~discard]
-
-        if depth == max_depth:
-            seeds = np.column_stack([cx, cy])
-            break
-        # split survivors into 4 children
-        if cx.size:
-            qx = np.concatenate([cx - hx / 2, cx + hx / 2, cx - hx / 2, cx + hx / 2])
-            qy = np.concatenate([cy - hy / 2, cy - hy / 2, cy + hy / 2, cy + hy / 2])
-            cx, cy = qx, qy
+        live = _may_vanish(field, cx, cy, hx + pad, hy + pad)
+        cx, cy = cx[live], cy[live]
+        if depth < max_depth:  # split survivors into 4 children
+            cx = np.concatenate([cx - hx / 2, cx + hx / 2, cx - hx / 2, cx + hx / 2])
+            cy = np.concatenate([cy - hy / 2, cy - hy / 2, cy + hy / 2, cy + hy / 2])
+    seeds = np.column_stack([cx, cy])
 
     # polish, filter, group; groups that refine to one zero share its array
     amp = field.max_abs_coef()

@@ -153,13 +153,3 @@ def test_time_family_offset_convention(saddle_split_family):
     assert np.allclose(w(p), base - eps * accel)
     # eps = -(t - t0)
     assert np.allclose(fam.at_time(fam.t0 - eps)(p), w(p))
-
-
-def test_gradient_bound_dominates(s4_field):
-    half = 0.7
-    bu, bv = s4_field.gradient_bound(half)
-    g = rng(9)
-    for p in g.uniform(-half, half, size=(50, 2)):
-        jac = s4_field.jacobian(p)
-        assert np.hypot(*jac[0]) <= bu + 1e-12
-        assert np.hypot(*jac[1]) <= bv + 1e-12

@@ -141,12 +141,3 @@ def test_compose_affine_round_trip(degree, seed, radius, phi, theta):
 def test_degree_and_zero():
     assert Poly2.zero().is_zero()
     assert Poly2.from_terms({(2, 3): 1.0}).degree == 5
-
-
-def test_abs_bound_dominates():
-    p = Poly2.from_terms({(2, 0): 1.5, (1, 1): -2.0, (0, 0): 0.25})
-    m = 0.8
-    bound = p.abs_bound(m)
-    for x in np.linspace(-m, m, 11):
-        for y in np.linspace(-m, m, 11):
-            assert abs(p(float(x), float(y))) <= bound + 1e-12

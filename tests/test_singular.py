@@ -1,4 +1,6 @@
 import time
+from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -7,10 +9,12 @@ from hypothesis import strategies as st
 
 from flowbif import (
     BudgetExceededError,
+    FlowbifError,
     Frame,
     NotSimpleError,
     Poly2,
     PolyVectorField,
+    TimeFamily,
     classify_point,
     extract_degeneracy,
     find_singular_points,
@@ -256,6 +260,87 @@ def test_budget_guard(monkeypatch):
         find_singular_points(make_normal_form(1, 1, 1, 2, 3), BOX)
 
 
+def test_search_rejects_non_finite_boxes():
+    f = make_normal_form(1, 1, 1, 2, 3)
+    with pytest.raises(ValueError, match="finite"):
+        find_singular_points(f, (0.0, 0.0, np.inf, 1.0))
+    # finite corners, but the field's expansion on the cells overflows
+    with pytest.raises(FlowbifError, match="field is not finite on the box"):
+        find_singular_points(f, (-1.0, -1.0, 1.0, 1e308))
+
+
+@pytest.mark.parametrize("box", [(-0.3, -0.3, 0.3, 0.3), (-0.9, -0.2, 0.3, 0.6)])
+def test_search_finds_zeros_on_cell_edges_and_corners(box):
+    # the k3n7 rung's saddle sits exactly at the origin: the corner of four cells
+    # at every depth of the symmetric box, and corner (24, 8) of the depth-5 grid
+    # of the other; rounded cell centres leave gaps of about 1e-17 around it
+    fam = TimeFamily(make_normal_form(1, 1, 1, 3, 7), field({}, {(1, 0): 1.0}))
+    pts = find_singular_points(fam.at_offset(-1e-3), box)
+    assert [(p.kind, tuple(p.location.tolist())) for p in pts] == [("saddle", (0.0, 0.0))]
+
+
+def _exact_bernstein(coef, x0, y0, w):
+    """Bernstein coefficients of the polynomial on [x0, x0 + w] x [y0, y0 + w], exactly.
+
+    Degrees are those of ``coef``'s shape; the cell is mapped to [0, 1]^2.
+    """
+    c = [[Fraction(v) for v in row] for row in coef.tolist()]
+    x0, y0, w = Fraction(x0), Fraction(y0), Fraction(w)
+    dx, dy = len(c) - 1, len(c[0]) - 1
+    # monomial coefficients a[k][l] of p(x0 + w s, y0 + w t)
+    rows = [[sum(c[i][j] * comb(i, k) * x0 ** (i - k) * w**k for i in range(k, dx + 1))
+             for j in range(dy + 1)] for k in range(dx + 1)]
+    a = [[sum(r[j] * comb(j, l) * y0 ** (j - l) * w**l for j in range(l, dy + 1))
+          for l in range(dy + 1)] for r in rows]
+    return [
+        sum(
+            Fraction(comb(m, k) * comb(n, l), comb(dx, k) * comb(dy, l)) * a[k][l]
+            for k in range(m + 1)
+            for l in range(n + 1)
+        )
+        for m in range(dx + 1)
+        for n in range(dy + 1)
+    ]
+
+
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(lambda ij: sum(ij) <= 6),
+        st.integers(-64, 64),
+        min_size=1,
+        max_size=8,
+    ),
+    st.integers(-64, 64),
+    st.integers(-64, 64),
+    st.integers(0, 12),
+    st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_exclusion_drops_only_cells_of_one_strict_bernstein_sign(terms, mx, my, q, vanish):
+    # dyadic coefficients k/64, a point (mx, my)/32 and 3 x 3 cells of width 2^-q
+    # around it; with ``vanish`` the point is an exact zero and a corner of 4 cells
+    px, py, w = mx / 32, my / 32, 2.0**-q
+    coef = {ij: k / 64 for ij, k in terms.items()}
+    if vanish:
+        at = sum(Fraction(c) * Fraction(px) ** i * Fraction(py) ** j for (i, j), c in coef.items())
+        coef[(0, 0)] = float(Fraction(coef.get((0, 0), 0.0)) - at)  # exact: few bits
+    p = Poly2.from_terms(coef)
+    corners = [(px + a * w, py + b * w) for a in (-1, 0, 1) for b in (-1, 0, 1)]
+    cx = np.array([x + w / 2 for x, _ in corners])
+    cy = np.array([y + w / 2 for _, y in corners])
+    live = singular._may_vanish(PolyVectorField(p, Poly2.zero()), cx, cy, w / 2, w / 2)
+    for (x0, y0), kept in zip(corners, live):
+        b = _exact_bernstein(p.coef, x0, y0, w)
+        one_sign = all(v > 0 for v in b) or all(v < 0 for v in b)
+        if not kept:
+            assert one_sign, (x0, y0)
+        # and not vacuous: the margin is below 2^-40 S at degree 6
+        s = sum(abs(Fraction(c)) * (abs(Fraction(x0)) + Fraction(w)) ** i
+                * (abs(Fraction(y0)) + Fraction(w)) ** j for (i, j), c in coef.items())
+        if one_sign and min(abs(v) for v in b) > s / 2**40:
+            assert not kept, (x0, y0)
+
+
 def test_cluster_radius_merges_near_roots(saddle_split_family):
     # at tiny eps the three roots straddle the dedup radius
     w = saddle_split_family.at_offset(1e-14)
@@ -264,28 +349,19 @@ def test_cluster_radius_merges_near_roots(saddle_split_family):
 
 
 
-@pytest.mark.parametrize("cells", [2, 3, 6, 80])
+@pytest.mark.parametrize("cells", [2, 3, 6, 40, 80])
 def test_search_resolves_close_pairs(cells):
     # u = (y, x^2 - d^2): a center at (-d, 0) and a saddle at (d, 0), 2d apart,
-    # with the separation counted in finest search cells of [-1, 1]^2
+    # with the separation counted in finest search cells of [-1, 1]^2; at
+    # (-0.31, 0.27) unturned, one coarse cell holds both zeros (winding 0)
     d = cells * (2.0 / 2**14) / 2
     pair = field({(0, 1): 1.0}, {(2, 0): 1.0, (0, 0): -d * d})
     for theta in (0.0, np.pi / 4):
         rot = Frame.rotation((0.0, 0.0), theta).rot
-        for o in ((3.7e-5, -2.1e-5), (0.123, 0.456)):
+        for o in ((3.7e-5, -2.1e-5), (0.123, 0.456), (-0.31, 0.27)):
             moved = pair.in_frame(Frame.rotation(-rot.T @ np.array(o), -theta))
             kinds = sorted(p.kind for p in find_singular_points(moved, BOX))
             assert kinds == ["center", "saddle"], (cells, theta, o)
-
-
-@pytest.mark.xfail(strict=True, reason="sampled winding discards the coarse cell holding both")
-def test_search_misses_a_pair_hidden_in_one_coarse_cell():
-    # the pair above, 40 finest cells apart and moved to (-0.31, 0.27) unturned: a
-    # coarse cell holds both zeros (winding 0) and its boundary samples all see v > 0
-    d = 40 * (2.0 / 2**14) / 2
-    pair = field({(0, 1): 1.0}, {(2, 0): 1.0, (0, 0): -d * d})
-    moved = pair.in_frame(Frame.rotation((0.31, -0.27), 0.0))
-    assert sorted(p.kind for p in find_singular_points(moved, BOX)) == ["center", "saddle"]
 
 
 def _moved(label, theta, ox, oy, exponent):
